@@ -12,8 +12,12 @@ guide.
 
 from __future__ import annotations
 
+import ctypes
 import inspect
+import math
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +59,16 @@ _DEGENERATE_DENOMINATOR = 1e-12
 _EDGE_BLUR_SIZE = 31
 _EDGE_BLUR_SIGMA = np.sqrt(11.0)
 _CLUE_WINDOW = 21
-_DIRECT_SOLVE_LIMIT = 4096
+# LU fill of the grid system: nonzeros ~ _FACTOR_FILL * n * log2(n)
+_FACTOR_FILL = 6.0
+_FACTOR_BYTES_PER_NONZERO = 16
+# auto solves directly while the estimated factor fits this many bytes
+_DIRECT_SOLVE_BUDGET = 2**30
+
+# LU factors alive at once, in any threads, share the budget above, so it
+# bounds the process; a factor that does not fit beside the others waits
+_FACTOR_ROOM = threading.Condition()
+_factor_bytes_in_use = 0
 
 _ITERATIVE_TOL_KW = (
     "rtol"
@@ -176,18 +189,17 @@ def edge_filter(
         )
     confidence = edge_confidence(values, low_percentile, high_percentile)
 
-    dense = np.zeros((clues.height, clues.width, clues.bands), dtype=np.float64)
-    dense[clues.mask] = clues.spectra
-    window_totals = (
-        ndimage.uniform_filter(
-            dense, size=(_CLUE_WINDOW, _CLUE_WINDOW, 1), mode="constant", cval=0.0
-        )
-        * float(_CLUE_WINDOW) ** 2
-    )
+    # window sums one band at a time, read back at the clue pixels only
+    rows, cols = np.nonzero(clues.mask)
+    plane = np.zeros((clues.height, clues.width), dtype=np.float64)
+    window_totals = np.empty_like(clues.spectra)
+    for band in range(clues.bands):
+        plane[rows, cols] = clues.spectra[:, band]
+        window_totals[:, band] = window_sum(plane, _CLUE_WINDOW)[rows, cols]
     neighbor_counts = window_sum(clues.mask.astype(np.float64), _CLUE_WINDOW)
 
     own = clues.spectra
-    others_sum = window_totals[clues.mask] - own
+    others_sum = window_totals - own
     others_count = np.rint(neighbor_counts[clues.mask]) - 1.0
     zeta = confidence[clues.mask][:, None]
     has_neighbors = others_count > 0
@@ -325,11 +337,107 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
 
 @dataclass
 class SolveReport:
-    """Per-channel convergence record."""
+    """Per-channel convergence record, with why the method was used.
+
+    ``factor_bytes`` is the estimated memory of the sparse LU factor of
+    the system, computed whichever method ran; ``reason`` says why the
+    method was used.
+    """
 
     method: str
     residuals: tuple[float, ...]
     iterations: tuple[int, ...]
+    factor_bytes: int = 0
+    reason: str = ""
+
+
+def _estimate_factor_bytes(pixels: int) -> int:
+    """Estimated memory of the sparse LU factor of a ``pixels``-node system.
+
+    Under the minimum-degree ordering of A + A^T the 8-neighbor grid fills
+    in to about c * n * log2(n) nonzeros; c was measured at 4.8 to 5.7 on
+    grids from 128x128 to 700x700 and is rounded up here. Each nonzero
+    costs a value and an index plus SuperLU's supernode bookkeeping.
+    """
+    pixels = max(int(pixels), 2)
+    nonzeros = _FACTOR_FILL * pixels * math.log2(pixels)
+    return int(nonzeros * _FACTOR_BYTES_PER_NONZERO)
+
+
+def _choose_method(method: str, pixels: int) -> tuple[str, int, str]:
+    """(method, estimated factor bytes, reason) for a ``pixels``-row system."""
+    factor_bytes = _estimate_factor_bytes(pixels)
+    if method != "auto":
+        return method, factor_bytes, "requested"
+    budget_mb = _DIRECT_SOLVE_BUDGET / 2**20
+    estimate_mb = factor_bytes / 2**20
+    if factor_bytes <= _DIRECT_SOLVE_BUDGET:
+        return "direct", factor_bytes, (
+            f"estimated LU factor {estimate_mb:.0f} MiB fits the "
+            f"{budget_mb:.0f} MiB budget"
+        )
+    return "iterative", factor_bytes, (
+        f"estimated LU factor {estimate_mb:.0f} MiB exceeds the "
+        f"{budget_mb:.0f} MiB budget"
+    )
+
+
+def _load_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _load_malloc_trim()
+
+
+@contextmanager
+def _factor_room(factor_bytes: int):
+    """Hold ``factor_bytes`` of the direct-solve budget for one factor.
+
+    Factors run side by side while their estimates together fit the
+    budget. One alone always runs, so an explicit ``method="direct"``
+    above the budget waits for the others and then proceeds.
+    """
+    global _factor_bytes_in_use
+    with _FACTOR_ROOM:
+        _FACTOR_ROOM.wait_for(
+            lambda: _factor_bytes_in_use == 0
+            or _factor_bytes_in_use + factor_bytes <= _DIRECT_SOLVE_BUDGET
+        )
+        _factor_bytes_in_use += factor_bytes
+    try:
+        yield
+    finally:
+        with _FACTOR_ROOM:
+            _factor_bytes_in_use -= factor_bytes
+            _FACTOR_ROOM.notify_all()
+
+
+def _direct_solve_into(solution, matrix, rhs, channels, factor_bytes) -> None:
+    """Factor ``matrix`` once and solve the given channels into ``solution``."""
+    with _factor_room(factor_bytes):
+        # every row is diagonally dominant (clue rows strictly), so the
+        # factorization needs no pivoting and keeps the symmetric ordering
+        factor = sparse_linalg.splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        for channel in channels:
+            solution[:, channel] = factor.solve(rhs[:, channel])
+        del factor
+        # freeing the factor's multi-MB buffers raises glibc's dynamic mmap
+        # threshold, and later cube-sized arrays then stay resident in the
+        # per-thread arenas; hand the freed pages back instead
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 def solve(
@@ -344,9 +452,14 @@ def solve(
     ----------
     system : AffinitySystem
     method : str
-        "iterative" (BiCGStab with a Jacobi preconditioner), "direct"
-        (sparse LU), or "auto", which picks direct for instances up to
-        4096 pixels.
+        "iterative" (BiCGStab with a Jacobi preconditioner, one channel at
+        a time), "direct" (one sparse LU factorization under a
+        minimum-degree ordering, shared by every channel), or "auto",
+        which picks direct whenever the estimated LU factor fits a
+        1 GiB budget (up to roughly 580k pixels) and iterative above it.
+        Direct solves in several threads run at once while their
+        estimated factors together fit that budget; past it they wait
+        their turn.
     tol : float
         Relative residual each channel must reach.
     max_iter : int
@@ -355,8 +468,11 @@ def solve(
     Returns
     -------
     (solution, report)
-        ``solution`` is (pixel count, channels); the report carries the
-        verified relative residual and iteration count per channel.
+        ``solution`` is (pixel count, channels) in Fortran order; the
+        report carries the verified relative residual and iteration count
+        per channel, the factor memory estimate and why the method ran.
+        Channels whose right-hand side is zero are not solved: they stay
+        zero with residual 0 and no iterations.
 
     Raises
     ------
@@ -366,45 +482,35 @@ def solve(
     if method not in ("auto", "direct", "iterative"):
         raise ValidationError(f"unknown solver method {method!r}")
     matrix = system.matrix
-    total = matrix.shape[0]
-    if method == "auto":
-        method = "direct" if total <= _DIRECT_SOLVE_LIMIT else "iterative"
+    method, factor_bytes, reason = _choose_method(method, matrix.shape[0])
 
     rhs = system.rhs
-    solution = np.zeros_like(rhs)
-    residuals = []
-    iterations = []
+    channels = rhs.shape[1]
+    solution = np.zeros(rhs.shape, order="F")
+    norms = [float(np.linalg.norm(rhs[:, channel])) for channel in range(channels)]
+    active = [channel for channel in range(channels) if norms[channel] != 0]
+    residuals = [0.0] * channels
+    iterations = [0] * channels
 
     if method == "direct":
-        factor = sparse_linalg.splu(matrix.tocsc())
-        for channel in range(rhs.shape[1]):
-            b = rhs[:, channel]
-            norm_b = np.linalg.norm(b)
-            if norm_b == 0:
-                residuals.append(0.0)
-                iterations.append(0)
-                continue
-            x = factor.solve(b)
-            residual = float(np.linalg.norm(matrix @ x - b) / norm_b)
+        _direct_solve_into(solution, matrix, rhs, active, factor_bytes)
+        for channel in active:
+            x, b = solution[:, channel], rhs[:, channel]
+            residual = float(np.linalg.norm(matrix @ x - b) / norms[channel])
             if not np.isfinite(residual) or residual > tol:
                 raise SolverError(
                     f"direct solve left relative residual {residual:.3e} "
                     f"above {tol:.1e} on channel {channel}",
                     residual=residual,
                 )
-            solution[:, channel] = x
-            residuals.append(residual)
-            iterations.append(0)
-        return solution, SolveReport("direct", tuple(residuals), tuple(iterations))
+            residuals[channel] = residual
+        return solution, SolveReport(
+            "direct", tuple(residuals), tuple(iterations), factor_bytes, reason
+        )
 
     preconditioner = sparse.diags(1.0 / matrix.diagonal())
-    for channel in range(rhs.shape[1]):
+    for channel in active:
         b = rhs[:, channel]
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0:
-            residuals.append(0.0)
-            iterations.append(0)
-            continue
         count = {"n": 0}
 
         def _tick(_xk):
@@ -419,7 +525,7 @@ def solve(
             atol=0.0,
             **{_ITERATIVE_TOL_KW: tol},
         )
-        residual = float(np.linalg.norm(matrix @ x - b) / norm_b)
+        residual = float(np.linalg.norm(matrix @ x - b) / norms[channel])
         if info != 0 or not np.isfinite(residual) or residual > tol:
             raise SolverError(
                 f"BiCGStab stopped at relative residual {residual:.3e} "
@@ -428,9 +534,11 @@ def solve(
                 residual=residual,
             )
         solution[:, channel] = x
-        residuals.append(residual)
-        iterations.append(count["n"])
-    return solution, SolveReport("iterative", tuple(residuals), tuple(iterations))
+        residuals[channel] = residual
+        iterations[channel] = count["n"]
+    return solution, SolveReport(
+        "iterative", tuple(residuals), tuple(iterations), factor_bytes, reason
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +613,9 @@ def luminance_rescale(
     ratio = np.zeros(bands)
     ratio[support] = guide_weights[support] / recon_weights[support]
 
-    magnitudes = np.abs(data)
     if per_image:
         # whole-image reading: one denominator per band
-        denominator_band = (magnitudes * ratio).sum(axis=(0, 1))
+        denominator_band = (np.abs(data) * ratio).sum(axis=(0, 1))
         scale_alpha = _resolve_alpha(alpha, guide_weights, recon_weights, None, None)
         usable = denominator_band >= _DEGENERATE_DENOMINATOR
         scaled = data.copy()
@@ -520,17 +627,18 @@ def luminance_rescale(
         )
         degenerate = np.zeros(values.shape, dtype=bool)
     else:
-        denominator = magnitudes @ ratio
+        denominator = np.abs(data) @ ratio
         scale_alpha = _resolve_alpha(
             alpha, guide_weights, recon_weights, denominator, values
         )
         degenerate = denominator < _DEGENERATE_DENOMINATOR
+        # per-pixel gain alpha * guide / denominator, kept as numerator and
+        # denominator planes so each value rounds as (alpha * guide * x) / d;
+        # degenerate pixels get 1 / 1 and keep their spectrum exactly
+        numerator = np.where(degenerate, 1.0, scale_alpha * values)
         safe = np.where(degenerate, 1.0, denominator)
-        scaled = np.where(
-            degenerate[:, :, None],
-            data,
-            scale_alpha * values[:, :, None] * data / safe[:, :, None],
-        )
+        scaled = data * numerator[:, :, None]
+        scaled /= safe[:, :, None]
     if is_cube:
         return HyperCube(scaled, recon.wavelengths), degenerate
     return scaled, degenerate
@@ -634,12 +742,13 @@ def colorize(
     if basis is not None:
         working = project(working, basis, dim)
     system = build_system(values, working)
+    del working
     solution, report = solve(system, method=method, tol=tol, max_iter=max_iter)
-    if basis is not None:
-        spectra = unproject(solution, basis)
-    else:
-        spectra = solution
+    del system
+    spectra = unproject(solution, basis) if basis is not None else solution
+    del solution
     recon = spectra.reshape(clues.height, clues.width, clues.bands)
+    del spectra
     scaled, degenerate = luminance_rescale(
         recon,
         values,
@@ -647,7 +756,8 @@ def colorize(
         response_recon=response_recon,
         alpha=rescale_alpha,
     )
-    cube = HyperCube(np.maximum(scaled, 0.0), clues.wavelengths)
+    del recon
+    cube = HyperCube(np.maximum(scaled, 0.0, out=scaled), clues.wavelengths)
     wall_ms = (time.perf_counter() - start) * 1e3
     return ColorizeResult(
         cube=cube,

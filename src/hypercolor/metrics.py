@@ -36,6 +36,8 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _MASS_FLOOR = 1e-12
+# pixels per block of the per-pixel spectral metrics
+_BLOCK_PIXELS = 4096
 
 CSV_COLUMNS = ("psnr", "ssim", "gfc", "ssv", "emd", "wall_ms")
 
@@ -81,7 +83,8 @@ def psnr(truth, recon) -> float:
     peak = float(t.max())
     if peak <= 0:
         raise ValidationError("PSNR needs a positive truth peak")
-    mse = float(np.mean((t - r) ** 2))
+    diff = t - r
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -133,32 +136,47 @@ def ssim(truth, recon) -> float:
     return float(np.mean(scores))
 
 
+def _per_pixel(truth, recon, score) -> np.ndarray:
+    """``score`` of every pixel's spectrum pair as a flat array.
+
+    ``score`` maps (pixels, bands) truth and reconstruction blocks to one
+    value per pixel; it runs over blocks of a few thousand pixels so its
+    temporaries stay small whatever the cube size.
+    """
+    t, r = _spectra_pairs(truth, recon)
+    values = np.empty(t.shape[0])
+    for start in range(0, t.shape[0], _BLOCK_PIXELS):
+        block = slice(start, start + _BLOCK_PIXELS)
+        values[block] = score(t[block], r[block])
+    return values
+
+
+def _gfc_block(t, r):
+    """Absolute cosine per pixel; NaN where the truth spectrum is zero."""
+    norm_t = np.linalg.norm(t, axis=1)
+    norm_r = np.linalg.norm(r, axis=1)
+    valid = norm_t > 0
+    dots = np.abs(np.einsum("ij,ij->i", t[valid], r[valid]))
+    denom = norm_t[valid] * norm_r[valid]
+    values = np.full(t.shape[0], np.nan)
+    values[valid] = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
+    return values
+
+
 def gfc(truth, recon) -> float:
     """Mean absolute cosine similarity between per-pixel spectra.
 
     Pixels whose truth spectrum has zero norm are excluded; a zero-norm
     reconstruction against a nonzero truth scores 0 at that pixel.
     """
-    t, r = _spectra_pairs(truth, recon)
-    norm_t = np.linalg.norm(t, axis=1)
-    norm_r = np.linalg.norm(r, axis=1)
-    valid = norm_t > 0
-    if not valid.any():
+    values = _per_pixel(truth, recon, _gfc_block)
+    scores = values[~np.isnan(values)]
+    if scores.size == 0:
         raise ValidationError("GFC is undefined for an all-zero truth")
-    dots = np.abs(np.einsum("ij,ij->i", t[valid], r[valid]))
-    denom = norm_t[valid] * norm_r[valid]
-    scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
     return float(scores.mean())
 
 
-def ssv(truth, recon) -> float:
-    """Mean combined spectral score: sqrt(RMSE^2 + (1 - r^2)) per pixel.
-
-    RMSE runs over the bands of one pixel and r is the Pearson correlation
-    between the two spectra; a constant spectrum on either side drops the
-    correlation penalty (r is taken as 1). Lower is better, 0 is exact.
-    """
-    t, r = _spectra_pairs(truth, recon)
+def _ssv_block(t, r):
     diff = t - r
     rmse_sq = np.mean(diff * diff, axis=1)
 
@@ -170,12 +188,20 @@ def ssv(truth, recon) -> float:
     corr = np.ones(t.shape[0])
     pairs = np.einsum("ij,ij->i", t_c[both], r_c[both])
     corr[both] = np.clip(pairs / (spread_t[both] * spread_r[both]), -1.0, 1.0)
-    return float(np.mean(np.sqrt(rmse_sq + (1.0 - corr * corr))))
+    return np.sqrt(rmse_sq + (1.0 - corr * corr))
 
 
-def _emd_values(truth, recon):
-    """Per-pixel distances as a flat array with NaN at skipped pixels."""
-    t, r = _spectra_pairs(truth, recon)
+def ssv(truth, recon) -> float:
+    """Mean combined spectral score: sqrt(RMSE^2 + (1 - r^2)) per pixel.
+
+    RMSE runs over the bands of one pixel and r is the Pearson correlation
+    between the two spectra; a constant spectrum on either side drops the
+    correlation penalty (r is taken as 1). Lower is better, 0 is exact.
+    """
+    return float(np.mean(_per_pixel(truth, recon, _ssv_block)))
+
+
+def _emd_block(t, r):
     bands = t.shape[1]
     t = np.clip(t, 0.0, None)
     r = np.clip(r, 0.0, None)
@@ -189,6 +215,11 @@ def _emd_values(truth, recon):
         cdf_gap = np.cumsum(p - q, axis=1)
         values[valid] = np.abs(cdf_gap).sum(axis=1) / (bands - 1)
     return values
+
+
+def _emd_values(truth, recon):
+    """Per-pixel distances as a flat array with NaN at skipped pixels."""
+    return _per_pixel(truth, recon, _emd_block)
 
 
 def emd(truth, recon) -> float:

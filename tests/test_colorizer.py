@@ -1,5 +1,9 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import (
     constant_cube,
@@ -29,6 +33,8 @@ from hypercolor import (
     make_guide,
     solve,
 )
+from hypercolor import colorizer
+from hypercolor.colorizer import _choose_method, _factor_room
 
 
 def patch_sigma_sq(values, row, col):
@@ -181,6 +187,66 @@ class TestSolve:
         _, report = solve(self.random_system(), method="auto")
         assert report.method == "direct"
 
+    def test_auto_picks_direct_for_256_grid(self):
+        system = self.random_system(height=256, width=256, bands=2, seed=30)
+        solution, report = solve(system, method="auto")
+        assert report.method == "direct"
+        assert report.iterations == (0, 0)
+        assert all(r <= 1e-7 for r in report.residuals)
+        assert 0 < report.factor_bytes <= 2**30
+        assert "fits" in report.reason
+        assert solution.flags.f_contiguous
+
+    def test_factor_estimate_sends_harvard_frame_to_iterative(self):
+        # decided from the pixel count alone; no 1040x1392 system is built
+        method, factor_bytes, reason = _choose_method("auto", 1040 * 1392)
+        assert method == "iterative"
+        assert factor_bytes > 2**30
+        assert "exceeds" in reason
+
+    def test_explicit_method_is_kept(self):
+        assert _choose_method("iterative", 64)[::2] == ("iterative", "requested")
+        assert _choose_method("direct", 10**7)[::2] == ("direct", "requested")
+
+    def test_concurrent_direct_solves_match_serial(self):
+        systems = [self.random_system(height=40, width=40, seed=s) for s in range(6)]
+        serial = [solve(system, method="direct")[0] for system in systems]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, system, method="direct") for system in systems]
+            concurrent = [future.result(timeout=60)[0] for future in futures]
+        for expected, got in zip(serial, concurrent):
+            assert np.array_equal(expected, got)
+
+    def test_factors_share_the_budget_across_threads(self, monkeypatch):
+        monkeypatch.setattr(colorizer, "_DIRECT_SOLVE_BUDGET", 100)
+        entered = {name: threading.Event() for name in "abc"}
+        leave_a = threading.Event()
+
+        def hold(name, nbytes, until=None):
+            with _factor_room(nbytes):
+                entered[name].set()
+                if until is not None:
+                    until.wait(timeout=10)
+
+        a = threading.Thread(target=hold, args=("a", 60, leave_a))
+        a.start()
+        assert entered["a"].wait(timeout=10)
+        b = threading.Thread(target=hold, args=("b", 60))
+        c = threading.Thread(target=hold, args=("c", 30))
+        b.start()
+        c.start()
+        # 60 + 30 fits beside a; 60 + 60 does not, so b waits for a
+        assert entered["c"].wait(timeout=10)
+        assert not entered["b"].wait(timeout=0.2)
+        leave_a.set()
+        assert entered["b"].wait(timeout=10)
+        for thread in (a, b, c):
+            thread.join(timeout=10)
+        # a factor over the whole budget still runs once it is alone
+        with _factor_room(500):
+            assert colorizer._factor_bytes_in_use == 500
+        assert colorizer._factor_bytes_in_use == 0
+
     def test_zero_channel_short_circuits(self):
         rng = np.random.default_rng(9)
         mask = scatter_mask(8, 8, 0.1, seed=9)
@@ -188,9 +254,12 @@ class TestSolve:
             [rng.random(int(mask.sum())), np.zeros(int(mask.sum()))]
         )
         system = build_system(rng.random((8, 8)), clues_of((8, 8), mask, spectra))
-        solution, report = solve(system, method="iterative")
-        assert np.array_equal(solution[:, 1], np.zeros(64))
-        assert report.iterations[1] == 0 and report.residuals[1] == 0.0
+        for method in ("iterative", "direct"):
+            solution, report = solve(system, method=method)
+            assert report.method == method
+            assert np.array_equal(solution[:, 1], np.zeros(64))
+            assert report.iterations[1] == 0 and report.residuals[1] == 0.0
+            assert 0.0 < report.residuals[0] <= 1e-7
 
     def test_unreachable_tolerance_raises_with_residual(self):
         system = self.random_system(height=48, width=48, seed=10)
@@ -357,6 +426,28 @@ class TestEdgeFilter:
         after = ((filtered.spectra - truth) ** 2).mean()
         assert after < 0.02 * before
 
+    def test_matches_dense_cube_formula(self):
+        # reference: filter a dense (height, width, bands) clue cube at once
+        rng = np.random.default_rng(31)
+        guide = rng.random((37, 29))
+        guide[:, 15:] += 2.0
+        mask = scatter_mask(37, 29, 0.2, seed=32)
+        clues = clues_of((37, 29), mask, rng.random((int(mask.sum()), 5)))
+        dense = np.zeros((37, 29, 5))
+        dense[mask] = clues.spectra
+        totals = ndimage.uniform_filter(dense, size=(21, 21, 1), mode="constant") * 441.0
+        counts = np.rint(
+            ndimage.uniform_filter(mask.astype(float), size=21, mode="constant") * 441.0
+        )
+        others = totals[mask] - clues.spectra
+        count = counts[mask][:, None] - 1.0
+        zeta = edge_confidence(guide)[mask][:, None]
+        mean = np.where(count > 0, others / np.maximum(count, 1.0), clues.spectra)
+        expected = np.where(
+            count > 0, zeta * clues.spectra + (1.0 - zeta) * mean, clues.spectra
+        )
+        assert np.array_equal(edge_filter(clues, guide).spectra, expected)
+
     def test_guide_shape_mismatch(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 1] = True
@@ -394,6 +485,21 @@ class TestLuminanceRescale:
         )
         assert degenerate.sum() == 1 and degenerate[1, 1]
         assert np.array_equal(rescaled[1, 1], [0.0, 0.0])
+
+    def test_matches_cube_formula_with_degenerate_pixels(self):
+        recon = random_cube(9, 8, 4, seed=33).data.copy()
+        recon[2, 3] = 0.0
+        guide = make_guide(random_cube(9, 8, 4, seed=34)).values
+        rescaled, degenerate = luminance_rescale(recon, guide, alpha=1.7)
+        # flat responses: the denominator is the summed absolute spectrum
+        denominator = np.abs(recon) @ np.ones(4)
+        flagged = denominator < 1e-12
+        safe = np.where(flagged, 1.0, denominator)
+        expected = np.where(
+            flagged[:, :, None], recon, 1.7 * guide[:, :, None] * recon / safe[:, :, None]
+        )
+        assert np.array_equal(degenerate, flagged) and flagged.sum() == 1
+        assert np.array_equal(rescaled, expected)
 
     def test_explicit_alpha_scales_linearly(self):
         recon = random_cube(6, 6, 3, seed=20)

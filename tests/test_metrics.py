@@ -261,6 +261,58 @@ class TestEmd:
         )
 
 
+class TestBlockedSpectralMetrics:
+    """The per-pixel metrics run over pixel blocks; a cube spanning more
+    than one block must score exactly as the whole-array formulas do."""
+
+    def pair(self):
+        rng = np.random.default_rng(15)
+        truth = rng.random((70, 70, 8))
+        recon = truth + rng.normal(0.0, 0.2, truth.shape)
+        truth[3, 4] = 0.0
+        recon[5, 6] = 0.0
+        recon[7, 8] = np.linspace(0.2, 0.2, 8)
+        return truth, recon
+
+    def test_gfc_matches_whole_array_formula(self):
+        truth, recon = self.pair()
+        t, r = truth.reshape(-1, 8), recon.reshape(-1, 8)
+        norm_t = np.linalg.norm(t, axis=1)
+        norm_r = np.linalg.norm(r, axis=1)
+        valid = norm_t > 0
+        dots = np.abs(np.einsum("ij,ij->i", t[valid], r[valid]))
+        denom = norm_t[valid] * norm_r[valid]
+        scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
+        assert gfc(truth, recon) == float(scores.mean())
+
+    def test_ssv_matches_whole_array_formula(self):
+        truth, recon = self.pair()
+        t, r = truth.reshape(-1, 8), recon.reshape(-1, 8)
+        rmse_sq = np.mean((t - r) * (t - r), axis=1)
+        t_c = t - t.mean(axis=1, keepdims=True)
+        r_c = r - r.mean(axis=1, keepdims=True)
+        spread_t = np.linalg.norm(t_c, axis=1)
+        spread_r = np.linalg.norm(r_c, axis=1)
+        both = (spread_t > 0) & (spread_r > 0)
+        corr = np.ones(t.shape[0])
+        pairs = np.einsum("ij,ij->i", t_c[both], r_c[both])
+        corr[both] = np.clip(pairs / (spread_t[both] * spread_r[both]), -1.0, 1.0)
+        expected = float(np.mean(np.sqrt(rmse_sq + (1.0 - corr * corr))))
+        assert ssv(truth, recon) == expected
+
+    def test_emd_matches_whole_array_formula(self):
+        truth, recon = self.pair()
+        t = np.clip(truth.reshape(-1, 8), 0.0, None)
+        r = np.clip(recon.reshape(-1, 8), 0.0, None)
+        mass_t, mass_r = t.sum(axis=1), r.sum(axis=1)
+        valid = (mass_t >= 1e-12) & (mass_r >= 1e-12)
+        values = np.full(t.shape[0], np.nan)
+        gap = np.cumsum(t[valid] / mass_t[valid, None] - r[valid] / mass_r[valid, None], axis=1)
+        values[valid] = np.abs(gap).sum(axis=1) / 7
+        assert np.array_equal(emd_map(truth, recon), values.reshape(70, 70), equal_nan=True)
+        assert emd(truth, recon) == float(values[valid].mean())
+
+
 class TestMonotoneDegradation:
     def test_every_metric_orders_noise_levels(self):
         truth = random_cube(16, 16, 5, seed=15)
