@@ -8,7 +8,6 @@ from scipy import ndimage
 __all__ = [
     "sobel_gradients",
     "gaussian_kernel_1d",
-    "gaussian_kernel_2d",
     "window_sum",
     "window_count",
 ]
@@ -30,14 +29,6 @@ def gaussian_kernel_1d(sigma: float, radius: int) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     return kernel / kernel.sum()
-
-
-def gaussian_kernel_2d(sigma: float, size: int) -> np.ndarray:
-    """Unit-sum separable Gaussian window of odd side length ``size``."""
-    if size % 2 != 1:
-        raise ValueError(f"window size must be odd, got {size}")
-    kernel = gaussian_kernel_1d(sigma, size // 2)
-    return np.outer(kernel, kernel)
 
 
 def window_sum(image: np.ndarray, size: int) -> np.ndarray:

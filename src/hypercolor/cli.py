@@ -25,7 +25,10 @@ from .core import HyperCube
 from .errors import ConfigError, HyperColorError
 from .harness import (
     PATTERNS,
+    ExperimentConfig,
+    _acquire,
     _parse_dim,
+    _resolve_dimension,
     compare_sampling,
     export_plotdata,
     grid_search_dimension,
@@ -36,7 +39,6 @@ from .harness import (
     write_json,
 )
 from .metrics import MetricReport, evaluate
-from .noisesim import NoiseParams, simulate_clues, simulate_guide
 from .sampling import SamplingPlan, build_mask
 from .subspace import (
     estimate_dimension,
@@ -197,22 +199,14 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    config = ExperimentConfig(
+        seed=args.seed, time_budget=args.budget, guide_budget=args.guide_budget,
+        rho=args.rho, mu=args.mu, sigma=args.sigma,
+        pattern=args.pattern, rate=args.rate, sample_alpha=args.alpha,
+    )
     cube = formats.read_cube(args.cube)
-    pixels = cube.height * cube.width
-    guide_total = args.guide_budget if args.guide_budget is not None else args.budget
-    guide_params = NoiseParams(t=guide_total / pixels, rho=args.rho, mu=args.mu,
-                               sigma=args.sigma, seed=args.seed)
-    guide = simulate_guide(cube, guide_params)
-
-    if args.mask is not None:
-        mask = formats.read_mask(args.mask)
-    else:
-        plan = SamplingPlan(args.pattern, args.rate, alpha=args.alpha, seed=args.seed)
-        mask = build_mask(plan, shape=(cube.height, cube.width), guide=guide)
-    count = int(mask.sum())
-    clue_params = NoiseParams(t=args.budget / count, rho=args.rho, mu=args.mu,
-                              sigma=args.sigma, seed=args.seed)
-    clues = simulate_clues(cube, mask, clue_params)
+    mask = formats.read_mask(args.mask) if args.mask is not None else None
+    guide, mask, clues, guide_time, clue_time = _acquire(cube, config, None, mask=mask)
 
     if args.out_guide:
         formats.write_guide(guide, args.out_guide)
@@ -221,9 +215,9 @@ def _cmd_simulate(args) -> int:
     if args.out_clues:
         formats.write_clues(clues, args.out_clues)
     _print_json({
-        "mask_count": count,
-        "clue_time": clue_params.t,
-        "guide_time": guide_params.t,
+        "mask_count": clues.count,
+        "clue_time": clue_time,
+        "guide_time": guide_time,
     })
     return 0
 
@@ -291,14 +285,8 @@ def _cmd_colorize(args) -> int:
     guide = formats.read_guide(args.guide)
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis) if args.basis else None
-    dim = _parse_dim(args.dim, "dim") if args.dim is not None else None
-    if dim == "auto":
-        if basis is None:
-            raise ConfigError('--dim auto needs --basis')
-        if args.model is not None:
-            dim, _curve = estimate_dimension(clues, basis, read_model(args.model))
-        else:
-            dim = variance_curve(clues, basis).elbow_index
+    model = read_model(args.model) if args.model else None
+    dim = _resolve_dimension(_parse_dim(args.dim, "dim"), clues, basis, model)
     result = colorize(
         guide,
         clues,

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from ._filters import gaussian_kernel_1d, sobel_gradients, window_count, window_sum
-from .core import ClueSet, GuideImage, HyperCube, SpectralResponse
+from .core import ClueSet, HyperCube, SpectralResponse, _guide_values
 from .errors import SolverError, ValidationError
 from .subspace import SpectralBasis, project, unproject
 
@@ -75,15 +75,6 @@ _ITERATIVE_TOL_KW = (
     if "rtol" in inspect.signature(sparse_linalg.bicgstab).parameters
     else "tol"
 )
-
-
-def _guide_values(guide) -> np.ndarray:
-    if isinstance(guide, GuideImage):
-        return guide.values
-    values = np.asarray(guide, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError(f"guide must be a 2-d image, got shape {values.shape}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +246,6 @@ def _shift_slices(height, width, drow, dcol, invert):
         drow, dcol = -drow, -dcol
     rows = slice(max(0, -drow), height - max(0, drow))
     cols = slice(max(0, -dcol), width - max(0, dcol))
-    if invert:
-        return rows, cols
     return rows, cols
 
 
@@ -304,13 +293,11 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
     col_chunks = []
     val_chunks = []
     for plane, (drow, dcol) in enumerate(NEIGHBOR_OFFSETS):
-        center_rows = slice(max(0, -drow), height - max(0, drow))
-        center_cols = slice(max(0, -dcol), width - max(0, dcol))
-        neighbor_rows = slice(max(0, drow), height - max(0, -drow))
-        neighbor_cols = slice(max(0, dcol), width - max(0, -dcol))
-        row_chunks.append(index[center_rows, center_cols].ravel())
-        col_chunks.append(index[neighbor_rows, neighbor_cols].ravel())
-        val_chunks.append(-weights[plane][center_rows, center_cols].ravel())
+        center = _shift_slices(height, width, drow, dcol, invert=False)
+        neighbor = _shift_slices(height, width, drow, dcol, invert=True)
+        row_chunks.append(index[center].ravel())
+        col_chunks.append(index[neighbor].ravel())
+        val_chunks.append(-weights[plane][center].ravel())
 
     diagonal = np.full(total, _PLAIN_DIAGONAL)
     diagonal[clues.mask.ravel()] = _CLUE_DIAGONAL
@@ -573,7 +560,6 @@ def luminance_rescale(
     response_guide=None,
     response_recon=None,
     alpha="auto",
-    per_image: bool = False,
 ):
     """Rescale reconstructed spectra so brightness follows the guide.
 
@@ -588,9 +574,6 @@ def luminance_rescale(
 
     Returns ``(rescaled, degenerate_mask)``; the first mirrors the input
     type (HyperCube in, HyperCube out), the mask marks flagged pixels.
-    ``per_image=True`` switches to a whole-image denominator per band
-    instead of the per-pixel spectrum norm (comparison variant; degenerate
-    bands are then left unscaled and no pixel is flagged).
     """
     is_cube = isinstance(recon, HyperCube)
     data = recon.data if is_cube else np.asarray(recon, dtype=np.float64)
@@ -613,32 +596,16 @@ def luminance_rescale(
     ratio = np.zeros(bands)
     ratio[support] = guide_weights[support] / recon_weights[support]
 
-    if per_image:
-        # whole-image reading: one denominator per band
-        denominator_band = (np.abs(data) * ratio).sum(axis=(0, 1))
-        scale_alpha = _resolve_alpha(alpha, guide_weights, recon_weights, None, None)
-        usable = denominator_band >= _DEGENERATE_DENOMINATOR
-        scaled = data.copy()
-        scaled[:, :, usable] = (
-            scale_alpha
-            * values[:, :, None]
-            * data[:, :, usable]
-            / denominator_band[usable]
-        )
-        degenerate = np.zeros(values.shape, dtype=bool)
-    else:
-        denominator = np.abs(data) @ ratio
-        scale_alpha = _resolve_alpha(
-            alpha, guide_weights, recon_weights, denominator, values
-        )
-        degenerate = denominator < _DEGENERATE_DENOMINATOR
-        # per-pixel gain alpha * guide / denominator, kept as numerator and
-        # denominator planes so each value rounds as (alpha * guide * x) / d;
-        # degenerate pixels get 1 / 1 and keep their spectrum exactly
-        numerator = np.where(degenerate, 1.0, scale_alpha * values)
-        safe = np.where(degenerate, 1.0, denominator)
-        scaled = data * numerator[:, :, None]
-        scaled /= safe[:, :, None]
+    denominator = np.abs(data) @ ratio
+    scale_alpha = _resolve_alpha(alpha, guide_weights, recon_weights, denominator, values)
+    degenerate = denominator < _DEGENERATE_DENOMINATOR
+    # per-pixel gain alpha * guide / denominator, kept as numerator and
+    # denominator planes so each value rounds as (alpha * guide * x) / d;
+    # degenerate pixels get 1 / 1 and keep their spectrum exactly
+    numerator = np.where(degenerate, 1.0, scale_alpha * values)
+    safe = np.where(degenerate, 1.0, denominator)
+    scaled = data * numerator[:, :, None]
+    scaled /= safe[:, :, None]
     if is_cube:
         return HyperCube(scaled, recon.wavelengths), degenerate
     return scaled, degenerate
@@ -657,11 +624,6 @@ def _resolve_alpha(alpha, guide_weights, recon_weights, denominator, guide_value
         return 1.0 / float(on_support[0])
     # non-constant reconstruction response: no exact fixed point exists,
     # fall back to the least-squares scale tying denominator to guide
-    if denominator is None or guide_values is None:
-        raise ValidationError(
-            'alpha="auto" with a non-constant reconstruction response is only '
-            "defined for the per-pixel denominator"
-        )
     weight = float(np.dot(guide_values.ravel(), guide_values.ravel()))
     if weight <= 0:
         return 1.0
@@ -670,6 +632,47 @@ def _resolve_alpha(alpha, guide_weights, recon_weights, denominator, guide_value
 
 # ---------------------------------------------------------------------------
 # Full pipeline
+
+
+def _solve_coefficients(
+    values, clues, basis, dim, *, apply_edge_filter, method, tol, max_iter,
+    canny_low=70.0, canny_high=90.0,
+) -> tuple[np.ndarray, SolveReport]:
+    """First stage of :func:`colorize`: filter, project, build, solve.
+
+    Returns ``(solution, report)``. ``solution`` is (pixel count,
+    channels): the leading ``dim`` basis coefficients of every pixel, or
+    its spectrum when ``basis`` is None.
+    """
+    working = (
+        edge_filter(clues, values, canny_low, canny_high)
+        if apply_edge_filter
+        else clues
+    )
+    if basis is not None:
+        working = project(working, basis, dim)
+    system = build_system(values, working)
+    del working
+    return solve(system, method=method, tol=tol, max_iter=max_iter)
+
+
+def _finish(
+    solution, values, wavelengths, basis=None, *, response_guide=None,
+    response_recon=None, alpha="auto",
+) -> tuple[HyperCube, int]:
+    """Second stage of :func:`colorize`: unproject, rescale, clamp.
+
+    ``solution`` holds basis coefficients when ``basis`` is given and
+    spectra otherwise. The rescaled cube is clamped at zero in place.
+    Returns the cube and its count of degenerate pixels.
+    """
+    spectra = unproject(solution, basis) if basis is not None else solution
+    scaled, degenerate = luminance_rescale(
+        spectra.reshape(*values.shape, -1), values, response_guide=response_guide,
+        response_recon=response_recon, alpha=alpha,
+    )
+    cube = HyperCube(np.maximum(scaled, 0.0, out=scaled), wavelengths)
+    return cube, int(degenerate.sum())
 
 
 @dataclass
@@ -734,30 +737,19 @@ def colorize(
     values = _guide_values(guide)
     if dim is not None and basis is None:
         raise ValidationError("dim was given without a basis")
-    working = (
-        edge_filter(clues, values, canny_low, canny_high)
-        if apply_edge_filter
-        else clues
+    solution, report = _solve_coefficients(
+        values, clues, basis, dim, apply_edge_filter=apply_edge_filter,
+        canny_low=canny_low, canny_high=canny_high,
+        method=method, tol=tol, max_iter=max_iter,
     )
-    if basis is not None:
-        working = project(working, basis, dim)
-    system = build_system(values, working)
-    del working
-    solution, report = solve(system, method=method, tol=tol, max_iter=max_iter)
-    del system
+    # unprojecting here rather than in _finish frees the coefficients
+    # before the rescale allocates its output
     spectra = unproject(solution, basis) if basis is not None else solution
     del solution
-    recon = spectra.reshape(clues.height, clues.width, clues.bands)
-    del spectra
-    scaled, degenerate = luminance_rescale(
-        recon,
-        values,
-        response_guide=response_guide,
-        response_recon=response_recon,
-        alpha=rescale_alpha,
+    cube, degenerate_pixels = _finish(
+        spectra, values, clues.wavelengths, response_guide=response_guide,
+        response_recon=response_recon, alpha=rescale_alpha,
     )
-    del recon
-    cube = HyperCube(np.maximum(scaled, 0.0, out=scaled), clues.wavelengths)
     wall_ms = (time.perf_counter() - start) * 1e3
     return ColorizeResult(
         cube=cube,
@@ -765,6 +757,6 @@ def colorize(
         iterations=report.iterations,
         solver_method=report.method,
         dimension=dim if basis is not None else None,
-        degenerate_pixels=int(degenerate.sum()),
+        degenerate_pixels=degenerate_pixels,
         wall_ms=wall_ms,
     )

@@ -231,6 +231,16 @@ def _resolve_response(
     return response
 
 
+def _guide_values(guide) -> NDArrayF:
+    """Pixel values of a GuideImage or of any 2-d array."""
+    if isinstance(guide, GuideImage):
+        return guide.values
+    values = np.asarray(guide, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValidationError(f"guide must be a 2-d image, got shape {values.shape}")
+    return values
+
+
 def make_guide(cube: HyperCube, response: SpectralResponse | None = None) -> GuideImage:
     """Collapse a cube to a guide image with a response-weighted band mean.
 

@@ -21,20 +21,19 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .colorizer import build_system, colorize, edge_filter, luminance_rescale, solve
+from .colorizer import _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse
 from .errors import ConfigError, ValidationError
 from .metrics import CSV_COLUMNS, MetricReport, emd_map, evaluate
 from .noisesim import NoiseParams, simulate_clues, simulate_guide
 from .sampling import PATTERNS, SamplingPlan, build_mask
 from .subspace import (
+    _MIN_CLUES_FOR_CURVE,
     DimensionModel,
     SpectralBasis,
     VarianceCurve,
     fit_dimension_model,
     learn_basis,
-    project,
-    unproject,
     variance_curve,
 )
 
@@ -317,8 +316,11 @@ class PipelineResult:
         return out
 
 
-def _acquire(cube: HyperCube, config: ExperimentConfig, response):
-    """Noisy guide, mask, and clues under the configured time budget."""
+def _acquire(cube: HyperCube, config: ExperimentConfig, response, mask=None):
+    """Noisy guide, mask, and clues under the configured time budget.
+
+    The mask follows the config's sampling plan unless one is given.
+    """
     pixels = cube.height * cube.width
     guide_total = (
         config.guide_budget if config.guide_budget is not None else config.time_budget
@@ -329,13 +331,14 @@ def _acquire(cube: HyperCube, config: ExperimentConfig, response):
     )
     guide = simulate_guide(cube, guide_params, response)
 
-    plan = SamplingPlan(
-        config.pattern, config.rate, alpha=config.sample_alpha, seed=config.seed
-    )
-    mask = build_mask(plan, shape=(cube.height, cube.width), guide=guide)
+    if mask is None:
+        plan = SamplingPlan(
+            config.pattern, config.rate, alpha=config.sample_alpha, seed=config.seed
+        )
+        mask = build_mask(plan, shape=(cube.height, cube.width), guide=guide)
     count = int(mask.sum())
     if count == 0:
-        raise ValidationError("sampling produced an empty mask")
+        raise ValidationError("the sampling mask selects no pixels")
     clue_time = config.time_budget / count
     clue_params = NoiseParams(
         t=clue_time, rho=config.rho, mu=config.mu, sigma=config.sigma, seed=config.seed
@@ -353,14 +356,18 @@ def _learn_pipeline_basis(cube, clues, config) -> SpectralBasis:
     return learn_basis(pseudo, rank=config.rank, source=f"clues:{clues.count}")
 
 
-def _resolve_dimension(config, clues, basis, model):
-    """Reconstruction dimension per the config's dim policy."""
-    if config.dim is None:
+def _resolve_dimension(dim, clues, basis, model):
+    """Reconstruction dimension for a dim policy: an int, "auto", or None."""
+    if dim is None:
         return None
-    if config.dim != "auto":
-        if config.dim > basis.rank:
-            raise ConfigError(f"dim {config.dim} exceeds basis rank {basis.rank}")
-        return int(config.dim)
+    if basis is None:
+        raise ConfigError(f"dim {dim!r} needs a spectral basis")
+    if dim != "auto":
+        if not 1 <= dim <= basis.rank:
+            raise ConfigError(
+                f"dim {dim} must be between 1 and the basis rank {basis.rank}"
+            )
+        return int(dim)
     if basis.rank != basis.bands:
         raise ConfigError('dim "auto" needs a full-rank basis (leave rank unset)')
     curve = variance_curve(clues, basis)
@@ -410,7 +417,7 @@ def run_pipeline(
     working_basis = (
         basis if basis is not None else _learn_pipeline_basis(cube, clues, config)
     )
-    dim = _resolve_dimension(config, clues, working_basis, model)
+    dim = _resolve_dimension(config.dim, clues, working_basis, model)
     result = colorize(
         guide,
         clues,
@@ -503,6 +510,13 @@ def _best_by_emd(dims, emds):
     return min(d for d, e in zip(dims, emds) if e <= floor + _EMD_TIE)
 
 
+def _clue_curve(clues, basis) -> VarianceCurve | None:
+    """The clue variance curve, or None where the draw supports none."""
+    if basis.rank != basis.bands or clues.count < _MIN_CLUES_FOR_CURVE:
+        return None
+    return variance_curve(clues, basis)
+
+
 def _search_one_budget(cube, config, dims, response):
     """One budget row of the grid: shared clue draw, one solve, all dims."""
     guide, _mask, clues, _gt, _ct = _acquire(cube, config, response)
@@ -511,26 +525,19 @@ def _search_one_budget(cube, config, dims, response):
         raise ValidationError(
             f"candidate dimension {max(dims)} exceeds basis rank {basis.rank}"
         )
-    curve = None
-    if basis.rank == basis.bands and clues.count >= 8:
-        curve = variance_curve(clues, basis)
+    curve = _clue_curve(clues, basis)
 
-    working = edge_filter(clues, guide) if config.edge_filter else clues
-    coefficients = project(working, basis, max(dims))
-    system = build_system(guide, coefficients)
-    solution, _report = solve(
-        system, method=config.solver, tol=config.tol, max_iter=config.max_iter
+    solution, _report = _solve_coefficients(
+        guide.values, clues, basis, max(dims), apply_edge_filter=config.edge_filter,
+        method=config.solver, tol=config.tol, max_iter=config.max_iter,
     )
-
     reports = []
     for dim in dims:
-        spectra = unproject(solution[:, :dim], basis)
-        recon = spectra.reshape(cube.height, cube.width, cube.bands)
-        scaled, _degenerate = luminance_rescale(
-            recon, guide, response_guide=response, alpha=config.rescale_alpha
+        recon, _degenerate = _finish(
+            solution[:, :dim], guide.values, cube.wavelengths, basis,
+            response_guide=response, alpha=config.rescale_alpha,
         )
-        recon_cube = HyperCube(np.maximum(scaled, 0.0), cube.wavelengths)
-        reports.append(evaluate(cube, recon_cube))
+        reports.append(evaluate(cube, recon))
 
     best = _best_by_emd(dims, [report.emd for report in reports])
     return tuple(reports), best, curve

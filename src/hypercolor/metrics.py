@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -262,9 +262,6 @@ class MetricReport:
     ssv: float
     emd: float
     wall_ms: float = 0.0
-
-    def with_timing(self, wall_ms: float) -> "MetricReport":
-        return replace(self, wall_ms=float(wall_ms))
 
     def to_dict(self, include_timing: bool = False) -> dict:
         def encode(value):

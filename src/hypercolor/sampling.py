@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._filters import sobel_gradients, window_sum
-from .core import GuideImage
+from .core import _guide_values
 from .errors import ValidationError
 
 __all__ = [
@@ -64,8 +64,7 @@ class SamplingPlan:
             raise ValidationError(
                 f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}"
             )
-        if not np.isfinite(self.rate) or not 0.0 < self.rate <= 1.0:
-            raise ValidationError(f"sampling rate must be in (0, 1], got {self.rate}")
+        _check_rate(self.rate)
         if not np.isfinite(self.alpha) or not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -87,15 +86,6 @@ class RowWeights:
         if abs(weights.mean() - 1.0) > 1e-6:
             raise ValidationError(f"row weights mean {weights.mean()} is not 1")
         object.__setattr__(self, "weights", weights)
-
-
-def _guide_values(guide) -> np.ndarray:
-    if isinstance(guide, GuideImage):
-        return guide.values
-    values = np.asarray(guide, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError(f"guide must be a 2-d image, got shape {values.shape}")
-    return values
 
 
 def _check_rate(rate: float) -> None:

@@ -28,7 +28,6 @@ __all__ = [
     "unproject",
     "variance_curve",
     "fit_dimension_model",
-    "predict_dimension",
     "estimate_dimension",
     "read_model",
     "write_model",
@@ -391,11 +390,6 @@ def fit_dimension_model(
         clamp_min=2,
         clamp_max=int(clamp_max),
     )
-
-
-def predict_dimension(model: DimensionModel, curve) -> int:
-    """Dimension the model picks for one variance curve."""
-    return model.predict(curve)
 
 
 def estimate_dimension(

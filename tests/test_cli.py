@@ -189,6 +189,18 @@ class TestSimulate:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_empty_mask_is_runtime_error(self, tmp_path, capsys, cube_file):
+        mask_path = tmp_path / "empty.pbm"
+        formats.write_mask(np.zeros((16, 16), dtype=bool), mask_path)
+        code = main(["simulate", str(cube_file), "--mask", str(mask_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_zero_rate_is_usage_error(self, capsys, cube_file):
+        code, _ = run_cli(capsys, "simulate", str(cube_file), "--rate", "0")
+        assert code == 2
+
 
 class TestSample:
     def test_blind_pattern_matches_library(self, tmp_path, capsys):
@@ -362,6 +374,27 @@ class TestColorize:
             capsys,
             "colorize", "--guide", str(guide), "--clues", str(clues),
             "--dim", "auto", "--out", str(tmp_path / "r.hsc"),
+        )
+        assert code == 2
+
+    def test_dim_without_basis_is_usage_error(self, tmp_path, capsys, cube_file):
+        guide, clues = self._artifacts(tmp_path, capsys, cube_file)
+        code, _ = run_cli(
+            capsys,
+            "colorize", "--guide", str(guide), "--clues", str(clues),
+            "--dim", "3", "--out", str(tmp_path / "r.hsc"),
+        )
+        assert code == 2
+
+    def test_dim_above_basis_rank_is_usage_error(self, tmp_path, capsys, cube_file):
+        guide, clues = self._artifacts(tmp_path, capsys, cube_file)
+        basis_path = tmp_path / "basis.hsb"
+        run_json(capsys, "basis", "learn", str(cube_file), "--out", str(basis_path))
+        code, _ = run_cli(
+            capsys,
+            "colorize", "--guide", str(guide), "--clues", str(clues),
+            "--basis", str(basis_path), "--dim", "99",
+            "--out", str(tmp_path / "r.hsc"),
         )
         assert code == 2
 

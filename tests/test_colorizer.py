@@ -508,16 +508,6 @@ class TestLuminanceRescale:
         double = luminance_rescale(recon, guide, alpha=2.0)[0].data
         assert np.allclose(double, 2.0 * single, atol=1e-12)
 
-    def test_per_image_denominator(self):
-        recon = random_cube(7, 9, 3, seed=21)
-        guide = make_guide(random_cube(7, 9, 3, seed=22))
-        rescaled, degenerate = luminance_rescale(recon, guide, per_image=True)
-        # flat responses: per-band ratio is one, auto alpha is the band count
-        denominator = np.abs(recon.data).sum(axis=(0, 1))
-        expected = 3.0 * guide.values[:, :, None] * recon.data / denominator
-        assert np.allclose(rescaled.data, expected, atol=1e-12)
-        assert not degenerate.any()
-
     def test_auto_alpha_least_squares_path(self):
         recon = random_cube(8, 8, 3, seed=23)
         guide = make_guide(recon)

@@ -378,11 +378,6 @@ class TestMetricReport:
         with pytest.raises(ValidationError):
             MetricReport.from_dict({"psnr_db": 1.0, "ssim": 0.5})
 
-    def test_with_timing_returns_new_report(self):
-        report = self.sample(wall_ms=0.0)
-        timed = report.with_timing(11.5)
-        assert timed.wall_ms == 11.5 and report.wall_ms == 0.0
-
 
 class TestEvaluate:
     def test_bundles_individual_metrics(self):

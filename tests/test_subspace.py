@@ -9,7 +9,6 @@ from hypercolor import (
     estimate_dimension,
     fit_dimension_model,
     learn_basis,
-    predict_dimension,
     project,
     read_model,
     unproject,
@@ -275,4 +274,4 @@ class TestEstimateDimension:
         model = DimensionModel(intercept=0.0, elbow=1.0, clamp_max=6, **base)
         dim, curve = estimate_dimension(clues, basis, model)
         assert curve.elbow_index == 3
-        assert dim == predict_dimension(model, curve) == 3
+        assert dim == model.predict(curve) == 3
