@@ -24,10 +24,11 @@ from .colorizer import colorize
 from .core import HyperCube
 from .errors import ConfigError, HyperColorError
 from .harness import (
+    _FIELD_PARSERS,
     PATTERNS,
     ExperimentConfig,
     _acquire,
-    _parse_dim,
+    _plan,
     _resolve_dimension,
     compare_sampling,
     export_plotdata,
@@ -39,14 +40,13 @@ from .harness import (
     write_json,
 )
 from .metrics import MetricReport, evaluate
-from .sampling import SamplingPlan, build_mask
+from .sampling import build_mask
 from .subspace import (
     estimate_dimension,
     learn_basis,
     project,
     read_model,
     unproject,
-    variance_curve,
     write_model,
 )
 
@@ -102,66 +102,62 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Shared argument groups
+# Run settings
+
+# Each flag that sets a run setting, with the ExperimentConfig field it
+# sets and its help text. The flags default to None, so a flag that is not
+# given leaves the field to the environment, the --config file, or the
+# config's own default; ExperimentConfig parses and checks every value.
+_CONFIG_FLAGS = {
+    "--seed": ("seed", "master seed"),
+    "--budget": ("time_budget", "total clue integration time in seconds"),
+    "--guide-budget": ("guide_budget",
+                       "guide integration time in seconds; none means --budget"),
+    "--rho": ("rho", "photon rate at full-scale radiance"),
+    "--mu": ("mu", "read noise mean in counts"),
+    "--sigma": ("sigma", "read noise standard deviation in counts"),
+    "--pattern": ("pattern", f"sampling pattern, one of {', '.join(PATTERNS)}"),
+    "--rate": ("rate", "fraction of pixels to sample"),
+    "--alpha": ("sample_alpha", "guided sampling blend toward corner features"),
+    "--dim": ("dim", 'reconstruction dimension: an int, "auto", or none for the '
+                     "full basis rank"),
+    "--solver": ("solver", "linear solver: auto, direct or iterative"),
+    "--tol": ("tol", "solver relative residual"),
+    "--max-iter": ("max_iter", "iteration cap of the iterative solver"),
+    "--workers": ("workers", "worker threads for sweeps"),
+}
 
 
-def _add_noise_args(parser) -> None:
-    parser.add_argument("--budget", type=float, default=1.0,
-                        help="total clue integration time in seconds (default 1.0)")
-    parser.add_argument("--guide-budget", type=float, default=None,
-                        help="guide integration budget; defaults to --budget")
-    parser.add_argument("--rho", type=float, default=9.6e7,
-                        help="photon rate at full-scale radiance (default 9.6e7)")
-    parser.add_argument("--mu", type=float, default=0.0,
-                        help="read noise mean in counts (default 0)")
-    parser.add_argument("--sigma", type=float, default=0.1,
-                        help="read noise standard deviation in counts (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _add_config_flags(parser, *flags) -> None:
+    defaults = ExperimentConfig()
+    for flag in flags:
+        name, text = _CONFIG_FLAGS[flag]
+        default = getattr(defaults, name)
+        shown = "none" if default is None else default
+        parser.add_argument(flag, default=None, help=f"{text} (default {shown})")
 
 
-def _add_sampling_args(parser) -> None:
-    parser.add_argument("--pattern", choices=PATTERNS, default="uniform-whisk",
-                        help="sampling pattern (default uniform-whisk)")
-    parser.add_argument("--rate", type=float, default=0.04,
-                        help="fraction of pixels to sample (default 0.04)")
-    parser.add_argument("--alpha", type=float, default=0.7,
-                        help="guided sampling blend toward corner features (default 0.7)")
-
-
-def _add_config_args(parser) -> None:
-    parser.add_argument("--config", default=None, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--pattern", choices=PATTERNS, default=None,
-                        help="override config pattern")
-    parser.add_argument("--rate", type=float, default=None, help="override config rate")
-    parser.add_argument("--budget", type=float, default=None,
-                        help="override config time budget")
-    parser.add_argument("--dim", default=None,
-                        help='override reconstruction dimension (int, "auto", or "none")')
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override config worker count")
-    parser.add_argument("--include-timing", action="store_true",
-                        help="keep wall-clock times in the output")
-
-
-def _config_from_args(args):
-    config = load_config(args.config)
+def _config_from_args(args) -> ExperimentConfig:
+    """Flag over environment over --config file over built-in default."""
+    config = load_config(getattr(args, "config", None))
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.pattern is not None:
-        overrides["pattern"] = args.pattern
-    if args.rate is not None:
-        overrides["rate"] = args.rate
-    if args.budget is not None:
-        overrides["time_budget"] = args.budget
-    if args.dim is not None:
-        overrides["dim"] = _parse_dim(args.dim, "dim")
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.include_timing:
+    for flag, (name, _text) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            overrides[name] = _FIELD_PARSERS[name](value, flag)
+    if getattr(args, "no_edge_filter", False):
+        overrides["edge_filter"] = False
+    if getattr(args, "include_timing", False):
         overrides["include_timing"] = True
     return replace(config, **overrides) if overrides else config
+
+
+def _add_harness_args(parser) -> None:
+    parser.add_argument("--config", default=None, help="JSON experiment config")
+    _add_config_flags(parser, "--seed", "--pattern", "--rate", "--budget", "--dim",
+                      "--workers")
+    parser.add_argument("--include-timing", action="store_true",
+                        help="keep wall-clock times in the output")
 
 
 def _remove_partial(paths) -> None:
@@ -199,11 +195,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = ExperimentConfig(
-        seed=args.seed, time_budget=args.budget, guide_budget=args.guide_budget,
-        rho=args.rho, mu=args.mu, sigma=args.sigma,
-        pattern=args.pattern, rate=args.rate, sample_alpha=args.alpha,
-    )
+    config = _config_from_args(args)
     cube = formats.read_cube(args.cube)
     mask = formats.read_mask(args.mask) if args.mask is not None else None
     guide, mask, clues, guide_time, clue_time = _acquire(cube, config, None, mask=mask)
@@ -223,7 +215,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    plan = SamplingPlan(args.pattern, args.rate, alpha=args.alpha, seed=args.seed)
+    plan = _plan(_config_from_args(args))
     guide = formats.read_guide(args.guide) if args.guide else None
     shape = _parse_shape(args.shape) if args.shape else None
     mask = build_mask(plan, shape=shape, guide=guide)
@@ -267,12 +259,8 @@ def _cmd_basis_project(args) -> int:
 def _cmd_estimate_dim(args) -> int:
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis)
-    if args.model is not None:
-        model = read_model(args.model)
-        dim, curve = estimate_dimension(clues, basis, model)
-    else:
-        curve = variance_curve(clues, basis)
-        dim = curve.elbow_index
+    model = read_model(args.model) if args.model is not None else None
+    dim, curve = estimate_dimension(clues, basis, model)
     _print_json({
         "dimension": dim,
         "elbow": curve.elbow_index,
@@ -282,20 +270,21 @@ def _cmd_estimate_dim(args) -> int:
 
 
 def _cmd_colorize(args) -> int:
+    config = _config_from_args(args)
     guide = formats.read_guide(args.guide)
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis) if args.basis else None
     model = read_model(args.model) if args.model else None
-    dim = _resolve_dimension(_parse_dim(args.dim, "dim"), clues, basis, model)
+    dim = _resolve_dimension(config.dim, clues, basis, model)
     result = colorize(
         guide,
         clues,
         basis=basis,
         dim=dim,
-        apply_edge_filter=not args.no_edge_filter,
-        method=args.solver,
-        tol=args.tol,
-        max_iter=args.max_iter,
+        apply_edge_filter=config.edge_filter,
+        method=config.solver,
+        tol=config.tol,
+        max_iter=config.max_iter,
         canny_low=args.canny_low,
         canny_high=args.canny_high,
     )
@@ -444,16 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a noisy guide and clue acquisition")
     p.add_argument("cube", help="ground-truth cube file")
     p.add_argument("--mask", default=None, help="PBM mask to sample at")
-    _add_sampling_args(p)
-    _add_noise_args(p)
+    _add_config_flags(p, "--pattern", "--rate", "--alpha", "--budget", "--guide-budget",
+                      "--rho", "--mu", "--sigma", "--seed")
     p.add_argument("--out-guide", default=None, help="write the noisy guide PGM here")
     p.add_argument("--out-clues", default=None, help="write the noisy clues here")
     p.add_argument("--out-mask", default=None, help="write the mask PBM here")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sample", help="build a sampling mask")
-    _add_sampling_args(p)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    _add_config_flags(p, "--pattern", "--rate", "--alpha", "--seed")
     p.add_argument("--shape", default=None, help="HEIGHTxWIDTH for blind patterns")
     p.add_argument("--guide", default=None, help="guide PGM for guided patterns")
     p.add_argument("--out", required=True, help="output PBM mask path")
@@ -498,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guide", required=True, help="guide PGM")
     p.add_argument("--clues", required=True, help="clue file")
     p.add_argument("--basis", default=None, help="spectral basis file")
-    p.add_argument("--dim", default=None, help='dimensions to keep (int or "auto")')
+    _add_config_flags(p, "--dim")
     p.add_argument("--model", default=None, help='dimension model for --dim auto')
     p.add_argument("--no-edge-filter", action="store_true",
                    help="skip the edge-aware clue prefilter")
@@ -506,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weak edge percentile for the prefilter (default 70)")
     p.add_argument("--canny-high", type=float, default=90.0,
                    help="strong edge percentile for the prefilter (default 90)")
-    p.add_argument("--solver", choices=("auto", "direct", "iterative"), default="auto")
-    p.add_argument("--tol", type=float, default=1e-7, help="solver relative residual")
-    p.add_argument("--max-iter", type=int, default=10_000)
+    _add_config_flags(p, "--solver", "--tol", "--max-iter")
     p.add_argument("--out", required=True, help="output cube path")
     p.set_defaults(handler=_cmd_colorize)
 
@@ -521,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="simulate, reconstruct, and score one run")
     p.add_argument("cube", help="ground-truth cube file")
-    _add_config_args(p)
+    _add_harness_args(p)
     p.add_argument("--model", default=None, help="dimension model JSON")
     p.add_argument("--out-cube", default=None, help="write the reconstruction here")
     p.add_argument("--out-mask", default=None, help="write the sampling mask here")
@@ -533,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated candidate dimensions")
     p.add_argument("--budgets", default=None,
                    help="comma-separated budgets (default: config budget)")
-    _add_config_args(p)
+    _add_harness_args(p)
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
     p.set_defaults(handler=_cmd_sweep_dim)
@@ -542,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the sampling ratio under a fixed time budget")
     p.add_argument("cube", help="ground-truth cube file")
     p.add_argument("--ratios", required=True, help="comma-separated sampling ratios")
-    _add_config_args(p)
+    _add_harness_args(p)
     p.add_argument("--model", default=None, help="dimension model JSON")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
@@ -551,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-sampling", help="compare sampling patterns, all else equal")
     p.add_argument("cube", help="ground-truth cube file")
     p.add_argument("--patterns", default=None, help="comma-separated subset of patterns")
-    _add_config_args(p)
+    _add_harness_args(p)
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
     p.set_defaults(handler=_cmd_compare_sampling)
@@ -560,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cubes", nargs="+", help="training cube files")
     p.add_argument("--budgets", required=True, help="comma-separated budgets in seconds")
     p.add_argument("--dims", default=None, help="candidate dimensions (default 2..bands)")
-    _add_config_args(p)
+    _add_harness_args(p)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--report", default=None, help="write training diagnostics JSON here")
     p.set_defaults(handler=_cmd_train_dim_model)

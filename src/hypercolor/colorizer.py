@@ -211,10 +211,11 @@ def affinity_weights(guide) -> np.ndarray:
     """Normalized neighbor affinities, shape (8, height, width).
 
     Plane k holds the weight toward NEIGHBOR_OFFSETS[k]; out-of-bounds
-    neighbors weigh zero and each pixel's valid weights sum to one. The
-    similarity scale is the pixel's own 3x3 patch variance, floored at
-    1e-8 of the squared guide dynamic range, which makes the weights
-    invariant under affine rescaling of the guide.
+    neighbors weigh zero, and the weights of each pixel with at least one
+    neighbor sum to one (a pixel with none, as in a 1x1 guide, keeps all
+    zeros). The similarity scale is the pixel's own 3x3 patch variance,
+    floored at 1e-8 of the squared guide dynamic range, which makes the
+    weights invariant under affine rescaling of the guide.
     """
     values = _guide_values(guide)
     height, width = values.shape
@@ -236,7 +237,7 @@ def affinity_weights(guide) -> np.ndarray:
         diff = values[center] - values[neighbor]
         weights[plane][center] = np.exp(-(diff * diff) / (2.0 * variance[center]))
     totals = weights.sum(axis=0)
-    return weights / totals
+    return np.divide(weights, totals, out=weights, where=totals > 0)
 
 
 def _shift_slices(height, width, drow, dcol, invert):

@@ -32,6 +32,7 @@ from .subspace import (
     DimensionModel,
     SpectralBasis,
     VarianceCurve,
+    estimate_dimension,
     fit_dimension_model,
     learn_basis,
     variance_curve,
@@ -101,12 +102,12 @@ class ExperimentConfig:
             raise ConfigError(f"time_budget must be positive, got {self.time_budget}")
         if self.guide_budget is not None and self.guide_budget <= 0:
             raise ConfigError(f"guide_budget must be positive, got {self.guide_budget}")
-        if self.pattern not in PATTERNS:
-            raise ConfigError(
-                f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}"
-            )
-        if not 0 < self.rate <= 1:
-            raise ConfigError(f"rate must be in (0, 1], got {self.rate}")
+        # the sampling and noise fields are checked by the objects they build
+        try:
+            _plan(self)
+            _noise(self, self.time_budget)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         if isinstance(self.dim, str):
             if self.dim != "auto":
                 raise ConfigError(
@@ -132,6 +133,20 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+
+
+def _plan(config: ExperimentConfig) -> SamplingPlan:
+    """The sampling plan a config describes."""
+    return SamplingPlan(
+        config.pattern, config.rate, alpha=config.sample_alpha, seed=config.seed
+    )
+
+
+def _noise(config: ExperimentConfig, t: float) -> NoiseParams:
+    """The config's noise model at exposure ``t`` seconds per sample."""
+    return NoiseParams(
+        t=t, rho=config.rho, mu=config.mu, sigma=config.sigma, seed=config.seed
+    )
 
 
 def _parse_int(value, name):
@@ -326,24 +341,15 @@ def _acquire(cube: HyperCube, config: ExperimentConfig, response, mask=None):
         config.guide_budget if config.guide_budget is not None else config.time_budget
     )
     guide_time = guide_total / pixels
-    guide_params = NoiseParams(
-        t=guide_time, rho=config.rho, mu=config.mu, sigma=config.sigma, seed=config.seed
-    )
-    guide = simulate_guide(cube, guide_params, response)
+    guide = simulate_guide(cube, _noise(config, guide_time), response)
 
     if mask is None:
-        plan = SamplingPlan(
-            config.pattern, config.rate, alpha=config.sample_alpha, seed=config.seed
-        )
-        mask = build_mask(plan, shape=(cube.height, cube.width), guide=guide)
+        mask = build_mask(_plan(config), shape=(cube.height, cube.width), guide=guide)
     count = int(mask.sum())
     if count == 0:
         raise ValidationError("the sampling mask selects no pixels")
     clue_time = config.time_budget / count
-    clue_params = NoiseParams(
-        t=clue_time, rho=config.rho, mu=config.mu, sigma=config.sigma, seed=config.seed
-    )
-    clues = simulate_clues(cube, mask, clue_params)
+    clues = simulate_clues(cube, mask, _noise(config, clue_time))
     return guide, mask, clues, guide_time, clue_time
 
 
@@ -370,10 +376,7 @@ def _resolve_dimension(dim, clues, basis, model):
         return int(dim)
     if basis.rank != basis.bands:
         raise ConfigError('dim "auto" needs a full-rank basis (leave rank unset)')
-    curve = variance_curve(clues, basis)
-    if model is not None:
-        return model.predict(curve)
-    return curve.elbow_index
+    return estimate_dimension(clues, basis, model)[0]
 
 
 def run_pipeline(

@@ -393,11 +393,13 @@ def fit_dimension_model(
 
 
 def estimate_dimension(
-    clues: ClueSet, basis: SpectralBasis, model: DimensionModel
+    clues: ClueSet, basis: SpectralBasis, model: DimensionModel | None = None
 ) -> tuple[int, VarianceCurve]:
-    """Variance curve plus predicted dimension in one step."""
+    """Variance curve plus the dimension it points to: the model's
+    prediction, or the curve's elbow when no model is given."""
     curve = variance_curve(clues, basis)
-    return model.predict(curve), curve
+    dim = curve.elbow_index if model is None else model.predict(curve)
+    return dim, curve
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypercolor import (
     formats,
     make_guide,
 )
-from hypercolor.cli import main
+from hypercolor.cli import _CONFIG_FLAGS, main
+from hypercolor.harness import _FIELD_PARSERS, ExperimentConfig
 from hypercolor.sampling import SamplingPlan, build_mask
 
 from conftest import random_cube, scatter_mask, wavelengths_for
@@ -200,6 +202,50 @@ class TestSimulate:
     def test_zero_rate_is_usage_error(self, capsys, cube_file):
         code, _ = run_cli(capsys, "simulate", str(cube_file), "--rate", "0")
         assert code == 2
+
+    def test_env_overrides_reach_simulate(self, capsys, cube_file, monkeypatch):
+        default = run_json(capsys, "simulate", str(cube_file))["mask_count"]
+        flagged = run_json(
+            capsys, "simulate", str(cube_file), "--rate", "0.25"
+        )["mask_count"]
+        monkeypatch.setenv("HYPERCOLOR_RATE", "0.5")
+        from_env = run_json(capsys, "simulate", str(cube_file))["mask_count"]
+        assert from_env not in (default, flagged)
+        # the flag still beats the variable
+        assert run_json(
+            capsys, "simulate", str(cube_file), "--rate", "0.25"
+        )["mask_count"] == flagged
+
+
+class TestConfigFlags:
+    def test_flags_and_parsers_cover_config_fields(self):
+        names = {spec.name for spec in dataclasses.fields(ExperimentConfig)}
+        assert set(_FIELD_PARSERS) == names
+        assert {name for name, _text in _CONFIG_FLAGS.values()} <= names
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{cube}", "--alpha", "2"],
+            ["simulate", "{cube}", "--sigma", "-1"],
+            ["simulate", "{cube}", "--rho", "0"],
+            ["simulate", "{cube}", "--seed", "-1"],
+            ["sample", "--alpha", "2", "--shape", "8x8", "--out", "{out}"],
+            ["colorize", "--guide", "{guide}", "--clues", "{clues}",
+             "--tol", "0", "--out", "{out}"],
+            ["colorize", "--guide", "{guide}", "--clues", "{clues}",
+             "--solver", "iterative", "--max-iter", "0", "--out", "{out}"],
+        ],
+    )
+    def test_out_of_range_setting_is_usage_error(
+        self, tmp_path, capsys, cube_file, guide_file, clue_file, argv
+    ):
+        paths = {"cube": cube_file, "guide": guide_file, "clues": clue_file,
+                 "out": tmp_path / "out"}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSample:

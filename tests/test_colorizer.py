@@ -1,4 +1,5 @@
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestAffinityWeights:
         assert weights[:, 3, 3] == pytest.approx(np.full(8, 1.0 / 8.0))
         corner = weights[:, 0, 0]
         assert corner[corner > 0] == pytest.approx(np.full(3, 1.0 / 3.0))
+
+    def test_pixel_without_neighbors_weighs_zero(self):
+        # a 1x1 guide has no neighbor to normalize over: zeros, not 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = affinity_weights(np.ones((1, 1)))
+        assert weights.shape == (8, 1, 1)
+        assert np.isfinite(weights).all() and (weights == 0).all()
 
     def test_affine_guide_invariance(self):
         rng = np.random.default_rng(3)

@@ -110,6 +110,10 @@ class TestConfig:
             {"max_iter": 0},
             {"rescale_alpha": "none"},
             {"workers": 0},
+            {"sample_alpha": 2.0},
+            {"rho": 0.0},
+            {"sigma": -1.0},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, overrides):

@@ -275,3 +275,5 @@ class TestEstimateDimension:
         dim, curve = estimate_dimension(clues, basis, model)
         assert curve.elbow_index == 3
         assert dim == model.predict(curve) == 3
+        # without a model the curve's elbow is the dimension
+        assert estimate_dimension(clues, basis)[0] == curve.elbow_index
