@@ -14,26 +14,25 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .colorizer import colorize
+from .colorizer import _check_percentiles, colorize
 from .core import HyperCube
-from .errors import ConfigError, HyperColorError
+from .errors import ConfigError, HyperColorError, ValidationError
 from .harness import (
     _FIELD_PARSERS,
     PATTERNS,
     ExperimentConfig,
     _acquire,
+    _config_values,
     _plan,
     _resolve_dimension,
     compare_sampling,
     export_plotdata,
     grid_search_dimension,
-    load_config,
     run_pipeline,
     time_budget_sweep,
     train_dimension_model,
@@ -121,6 +120,7 @@ _CONFIG_FLAGS = {
     "--alpha": ("sample_alpha", "guided sampling blend toward corner features"),
     "--dim": ("dim", 'reconstruction dimension: an int, "auto", or none for the '
                      "full basis rank"),
+    "--rank": ("rank", "basis directions to keep; none means every band"),
     "--solver": ("solver", "linear solver: auto, direct or iterative"),
     "--tol": ("tol", "solver relative residual"),
     "--max-iter": ("max_iter", "iteration cap of the iterative solver"),
@@ -138,18 +138,21 @@ def _add_config_flags(parser, *flags) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Flag over environment over --config file over built-in default."""
-    config = load_config(getattr(args, "config", None))
-    overrides = {}
+    """Flag over environment over --config file over built-in default.
+
+    The settings are merged first and checked once, so a bad value that a
+    flag overrides is never checked.
+    """
+    values = _config_values(getattr(args, "config", None))
     for flag, (name, _text) in _CONFIG_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            overrides[name] = _FIELD_PARSERS[name](value, flag)
+            values[name] = _FIELD_PARSERS[name](value, flag)
     if getattr(args, "no_edge_filter", False):
-        overrides["edge_filter"] = False
+        values["edge_filter"] = False
     if getattr(args, "include_timing", False):
-        overrides["include_timing"] = True
-    return replace(config, **overrides) if overrides else config
+        values["include_timing"] = True
+    return ExperimentConfig(**values)
 
 
 def _add_harness_args(parser) -> None:
@@ -225,8 +228,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_basis_learn(args) -> int:
+    config = _config_from_args(args)
     cubes = [formats.read_cube(path) for path in args.cubes]
-    basis = learn_basis(cubes, rank=args.rank)
+    basis = learn_basis(cubes, rank=config.rank)
     formats.write_basis(basis, args.out)
     _print_json({"bands": basis.bands, "rank": basis.rank, "source": basis.source})
     return 0
@@ -236,6 +240,7 @@ def _cmd_basis_project(args) -> int:
     basis = formats.read_basis(args.basis)
     if (args.clues is None) == (args.cube is None):
         raise ConfigError("basis project needs exactly one of --clues or --cube")
+    _resolve_dimension(args.dim, None, basis, None)
     if args.clues is not None:
         clues = formats.read_clues(args.clues)
         coefficients = project(clues, basis, args.dim)
@@ -271,6 +276,10 @@ def _cmd_estimate_dim(args) -> int:
 
 def _cmd_colorize(args) -> int:
     config = _config_from_args(args)
+    try:
+        _check_percentiles(args.canny_low, args.canny_high)
+    except ValidationError as exc:
+        raise ConfigError(f"--canny-low/--canny-high: {exc}") from None
     guide = formats.read_guide(args.guide)
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis) if args.basis else None
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = basis_sub.add_parser("learn", help="learn a spectral basis from cubes")
     bp.add_argument("cubes", nargs="+", help="training cube files")
-    bp.add_argument("--rank", type=int, default=None, help="directions to keep")
+    _add_config_flags(bp, "--rank")
     bp.add_argument("--out", required=True, help="output basis path")
     bp.set_defaults(handler=_cmd_basis_learn)
 

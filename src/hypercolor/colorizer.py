@@ -64,6 +64,9 @@ _FACTOR_FILL = 6.0
 _FACTOR_BYTES_PER_NONZERO = 16
 # auto solves directly while the estimated factor fits this many bytes
 _DIRECT_SOLVE_BUDGET = 2**30
+# channels per triangular solve: each solve streams the whole factor from
+# memory once, so a block of channels shares that traffic
+_SOLVE_BLOCK = 8
 
 # LU factors alive at once, in any threads, share the budget above, so it
 # bounds the process; a factor that does not fit beside the others waits
@@ -92,11 +95,7 @@ def canny_edges(
     8-connect to a strong one. Thresholds sit at the given percentiles of
     the gradient-magnitude distribution over the whole image.
     """
-    if not 0.0 <= low_percentile <= high_percentile <= 100.0:
-        raise ValidationError(
-            f"percentiles must satisfy 0 <= low <= high <= 100, "
-            f"got ({low_percentile}, {high_percentile})"
-        )
+    _check_percentiles(low_percentile, high_percentile)
     values = _guide_values(guide)
     smoothed = ndimage.gaussian_filter(values, sigma=1.4, mode="reflect")
     grad_x, grad_y = sobel_gradients(smoothed)
@@ -117,6 +116,15 @@ def canny_edges(
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
     keep = np.unique(labels[strong])
     return np.isin(labels, keep[keep > 0])
+
+
+def _check_percentiles(low_percentile, high_percentile) -> None:
+    """Raise ValidationError unless 0 <= low <= high <= 100."""
+    if not 0.0 <= low_percentile <= high_percentile <= 100.0:
+        raise ValidationError(
+            f"percentiles must satisfy 0 <= low <= high <= 100, "
+            f"got ({low_percentile}, {high_percentile})"
+        )
 
 
 def _nonmax_suppress(magnitude, grad_x, grad_y) -> np.ndarray:
@@ -408,7 +416,8 @@ def _factor_room(factor_bytes: int):
 
 
 def _direct_solve_into(solution, matrix, rhs, channels, factor_bytes) -> None:
-    """Factor ``matrix`` once and solve the given channels into ``solution``."""
+    """Factor ``matrix`` once and solve the given channels into ``solution``,
+    ``_SOLVE_BLOCK`` channels per triangular solve."""
     with _factor_room(factor_bytes):
         # every row is diagonally dominant (clue rows strictly), so the
         # factorization needs no pivoting and keeps the symmetric ordering
@@ -418,8 +427,9 @@ def _direct_solve_into(solution, matrix, rhs, channels, factor_bytes) -> None:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-        for channel in channels:
-            solution[:, channel] = factor.solve(rhs[:, channel])
+        for start in range(0, len(channels), _SOLVE_BLOCK):
+            block = channels[start : start + _SOLVE_BLOCK]
+            solution[:, block] = factor.solve(rhs[:, block])
         del factor
         # freeing the factor's multi-MB buffers raises glibc's dynamic mmap
         # threshold, and later cube-sized arrays then stay resident in the
@@ -442,7 +452,8 @@ def solve(
     method : str
         "iterative" (BiCGStab with a Jacobi preconditioner, one channel at
         a time), "direct" (one sparse LU factorization under a
-        minimum-degree ordering, shared by every channel), or "auto",
+        minimum-degree ordering, shared by every channel and applied to
+        blocks of 8 channels per triangular solve), or "auto",
         which picks direct whenever the estimated LU factor fits a
         1 GiB budget (up to roughly 580k pixels) and iterative above it.
         Direct solves in several threads run at once while their
@@ -475,23 +486,28 @@ def solve(
     rhs = system.rhs
     channels = rhs.shape[1]
     solution = np.zeros(rhs.shape, order="F")
-    norms = [float(np.linalg.norm(rhs[:, channel])) for channel in range(channels)]
+    norms = np.linalg.norm(rhs, axis=0)
     active = [channel for channel in range(channels) if norms[channel] != 0]
     residuals = [0.0] * channels
     iterations = [0] * channels
 
     if method == "direct":
         _direct_solve_into(solution, matrix, rhs, active, factor_bytes)
-        for channel in active:
-            x, b = solution[:, channel], rhs[:, channel]
-            residual = float(np.linalg.norm(matrix @ x - b) / norms[channel])
-            if not np.isfinite(residual) or residual > tol:
-                raise SolverError(
-                    f"direct solve left relative residual {residual:.3e} "
-                    f"above {tol:.1e} on channel {channel}",
-                    residual=residual,
-                )
-            residuals[channel] = residual
+        # one sparse-times-dense product per block of channels; one product
+        # over every channel holds cube-sized temporaries, which raised the
+        # peak RSS of a two-thread 128x128 sweep by about 7%
+        for start in range(0, len(active), _SOLVE_BLOCK):
+            block = active[start : start + _SOLVE_BLOCK]
+            gaps = np.linalg.norm(matrix @ solution[:, block] - rhs[:, block], axis=0)
+            for channel, gap in zip(block, gaps):
+                residual = float(gap / norms[channel])
+                if not np.isfinite(residual) or residual > tol:
+                    raise SolverError(
+                        f"direct solve left relative residual {residual:.3e} "
+                        f"above {tol:.1e} on channel {channel}",
+                        residual=residual,
+                    )
+                residuals[channel] = residual
         return solution, SolveReport(
             "direct", tuple(residuals), tuple(iterations), factor_bytes, reason
         )

@@ -248,6 +248,15 @@ def load_config(path=None, env=None) -> ExperimentConfig:
     the environment as HYPERCOLOR_<FIELD> (upper-cased), e.g.
     HYPERCOLOR_TIME_BUDGET=0.25 or HYPERCOLOR_DIM=auto.
     """
+    return ExperimentConfig(**_config_values(path, env))
+
+
+def _config_values(path=None, env=None) -> dict:
+    """Parsed field -> value settings of the JSON file, then the environment.
+
+    Values are parsed but not yet checked together, so a caller can lay
+    higher-precedence settings over them before building the config.
+    """
     names = [spec.name for spec in fields(ExperimentConfig)]
     data = {}
     if path is not None:
@@ -268,7 +277,7 @@ def load_config(path=None, env=None) -> ExperimentConfig:
         key = ENV_PREFIX + name.upper()
         if key in env:
             data[name] = _FIELD_PARSERS[name](env[key], name)
-    return ExperimentConfig(**data)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -52,22 +52,27 @@ _CSV_FIELDS = {
 }
 
 
-def _paired_arrays(truth, recon, ndim=None):
+# Each public metric validates its pair through _paired_arrays and scores
+# it with a private helper that takes the checked arrays; evaluate checks
+# once and calls the helpers directly.
+
+
+def _paired_arrays(truth, recon):
     t = truth.data if isinstance(truth, HyperCube) else np.asarray(truth, dtype=np.float64)
     r = recon.data if isinstance(recon, HyperCube) else np.asarray(recon, dtype=np.float64)
     if t.shape != r.shape:
         raise ValidationError(
             f"truth shape {t.shape} does not match reconstruction {r.shape}"
         )
-    if ndim is not None and t.ndim != ndim:
-        raise ValidationError(f"expected {ndim}-d arrays, got shape {t.shape}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
         raise ValidationError("metrics require finite inputs")
     return t, r
 
 
-def _spectra_pairs(truth, recon):
-    t, r = _paired_arrays(truth, recon, ndim=3)
+def _spectra(t, r):
+    """(pixels, bands) views of a checked pair of 3-d arrays."""
+    if t.ndim != 3:
+        raise ValidationError(f"expected 3-d arrays, got shape {t.shape}")
     bands = t.shape[2]
     if bands < 2:
         raise ValidationError("spectral metrics need at least 2 bands")
@@ -79,7 +84,10 @@ def psnr(truth, recon) -> float:
 
     A perfect reconstruction returns ``inf``.
     """
-    t, r = _paired_arrays(truth, recon)
+    return _psnr(*_paired_arrays(truth, recon))
+
+
+def _psnr(t, r) -> float:
     peak = float(t.max())
     if peak <= 0:
         raise ValidationError("PSNR needs a positive truth peak")
@@ -97,7 +105,10 @@ def ssim(truth, recon) -> float:
     inside the image count, and the dynamic range constant comes from the
     truth peak. 3-d inputs are averaged band by band.
     """
-    t, r = _paired_arrays(truth, recon)
+    return _ssim(*_paired_arrays(truth, recon))
+
+
+def _ssim(t, r) -> float:
     if t.ndim == 2:
         t = t[:, :, None]
         r = r[:, :, None]
@@ -125,25 +136,29 @@ def ssim(truth, recon) -> float:
         b = r[:, :, band]
         mu_a = blur(a)
         mu_b = blur(b)
-        var_a = blur(a * a) - mu_a * mu_a
-        var_b = blur(b * b) - mu_b * mu_b
-        cov = blur(a * b) - mu_a * mu_b
-        ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-            (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        mu_aa = mu_a * mu_a
+        mu_bb = mu_b * mu_b
+        mu_ab = mu_a * mu_b
+        # the denominator needs only var_a + var_b, so one blur of the
+        # summed squares stands in for a blur of each
+        var_sum = blur(a * a + b * b) - mu_aa - mu_bb
+        cov = blur(a * b) - mu_ab
+        ssim_map = ((2 * mu_ab + c1) * (2 * cov + c2)) / (
+            (mu_aa + mu_bb + c1) * (var_sum + c2)
         )
         valid = ssim_map[margin:-margin, margin:-margin]
         scores.append(float(valid.mean()))
     return float(np.mean(scores))
 
 
-def _per_pixel(truth, recon, score) -> np.ndarray:
-    """``score`` of every pixel's spectrum pair as a flat array.
+def _per_pixel(t, r, score) -> np.ndarray:
+    """``score`` of every pixel's spectrum pair of a checked pair, flat.
 
     ``score`` maps (pixels, bands) truth and reconstruction blocks to one
     value per pixel; it runs over blocks of a few thousand pixels so its
     temporaries stay small whatever the cube size.
     """
-    t, r = _spectra_pairs(truth, recon)
+    t, r = _spectra(t, r)
     values = np.empty(t.shape[0])
     for start in range(0, t.shape[0], _BLOCK_PIXELS):
         block = slice(start, start + _BLOCK_PIXELS)
@@ -169,7 +184,11 @@ def gfc(truth, recon) -> float:
     Pixels whose truth spectrum has zero norm are excluded; a zero-norm
     reconstruction against a nonzero truth scores 0 at that pixel.
     """
-    values = _per_pixel(truth, recon, _gfc_block)
+    return _gfc(*_paired_arrays(truth, recon))
+
+
+def _gfc(t, r) -> float:
+    values = _per_pixel(t, r, _gfc_block)
     scores = values[~np.isnan(values)]
     if scores.size == 0:
         raise ValidationError("GFC is undefined for an all-zero truth")
@@ -198,7 +217,11 @@ def ssv(truth, recon) -> float:
     between the two spectra; a constant spectrum on either side drops the
     correlation penalty (r is taken as 1). Lower is better, 0 is exact.
     """
-    return float(np.mean(_per_pixel(truth, recon, _ssv_block)))
+    return _ssv(*_paired_arrays(truth, recon))
+
+
+def _ssv(t, r) -> float:
+    return float(np.mean(_per_pixel(t, r, _ssv_block)))
 
 
 def _emd_block(t, r):
@@ -217,11 +240,6 @@ def _emd_block(t, r):
     return values
 
 
-def _emd_values(truth, recon):
-    """Per-pixel distances as a flat array with NaN at skipped pixels."""
-    return _per_pixel(truth, recon, _emd_block)
-
-
 def emd(truth, recon) -> float:
     """Mean earth mover's distance between unit-mass per-pixel spectra.
 
@@ -230,7 +248,11 @@ def emd(truth, recon) -> float:
     the summed absolute CDF difference divided by (bands - 1), so moving
     all mass across the full spectral axis costs 1.
     """
-    values = _emd_values(truth, recon)
+    return _emd(*_paired_arrays(truth, recon))
+
+
+def _emd(t, r) -> float:
+    values = _per_pixel(t, r, _emd_block)
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         raise ValidationError("EMD found no pixel with usable mass on both sides")
@@ -243,8 +265,8 @@ def emd_map(truth, recon) -> np.ndarray:
     Same conventions as :func:`emd`; feeds distribution plots of spatial
     error structure.
     """
-    t = truth.data if isinstance(truth, HyperCube) else np.asarray(truth)
-    return _emd_values(truth, recon).reshape(t.shape[0], t.shape[1])
+    t, r = _paired_arrays(truth, recon)
+    return _per_pixel(t, r, _emd_block).reshape(t.shape[0], t.shape[1])
 
 
 @dataclass(frozen=True)
@@ -317,12 +339,16 @@ def _format_csv(value) -> str:
 
 
 def evaluate(truth, recon, wall_ms: float = 0.0) -> MetricReport:
-    """All five metrics of a reconstruction against its ground truth."""
+    """All five metrics of a reconstruction against its ground truth.
+
+    The pair is validated once, then scored by each metric in turn.
+    """
+    t, r = _paired_arrays(truth, recon)
     return MetricReport(
-        psnr_db=psnr(truth, recon),
-        ssim=ssim(truth, recon),
-        gfc=gfc(truth, recon),
-        ssv=ssv(truth, recon),
-        emd=emd(truth, recon),
+        psnr_db=_psnr(t, r),
+        ssim=_ssim(t, r),
+        gfc=_gfc(t, r),
+        ssv=_ssv(t, r),
+        emd=_emd(t, r),
         wall_ms=float(wall_ms),
     )

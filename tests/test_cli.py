@@ -203,6 +203,16 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", str(cube_file), "--rate", "0")
         assert code == 2
 
+    def test_flag_overrides_bad_env_setting(self, capsys, cube_file, monkeypatch):
+        monkeypatch.setenv("HYPERCOLOR_RATE", "0")
+        assert run_json(
+            capsys, "simulate", str(cube_file), "--rate", "0.5"
+        )["mask_count"] > 0
+        code = main(["simulate", str(cube_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "rate" in err
+
     def test_env_overrides_reach_simulate(self, capsys, cube_file, monkeypatch):
         default = run_json(capsys, "simulate", str(cube_file))["mask_count"]
         flagged = run_json(
@@ -246,6 +256,29 @@ class TestConfigFlags:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "project", "--basis", "{basis}", "--clues", "{clues}",
+             "--dim", "0", "--out", "{out}"],
+            ["basis", "learn", "{cube}", "--rank", "0", "--out", "{out}"],
+            ["colorize", "--guide", "{guide}", "--clues", "{clues}",
+             "--canny-low", "95", "--canny-high", "90", "--out", "{out}"],
+        ],
+    )
+    def test_out_of_range_argument_is_usage_error(
+        self, tmp_path, capsys, cube_file, guide_file, clue_file, argv
+    ):
+        basis = tmp_path / "basis.hsb"
+        run_json(capsys, "basis", "learn", str(cube_file), "--out", str(basis))
+        paths = {"cube": cube_file, "guide": guide_file, "clues": clue_file,
+                 "basis": basis, "out": tmp_path / "out"}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSample:
@@ -443,6 +476,19 @@ class TestColorize:
             "--out", str(tmp_path / "r.hsc"),
         )
         assert code == 2
+
+    def test_unconverged_solve_is_runtime_error(self, tmp_path, capsys, cube_file):
+        guide, clues = self._artifacts(tmp_path, capsys, cube_file)
+        out = tmp_path / "r.hsc"
+        code = main([
+            "colorize", "--guide", str(guide), "--clues", str(clues),
+            "--solver", "iterative", "--max-iter", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "BiCGStab" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_clue_file(self, tmp_path, capsys, guide_file):
         code, _ = run_cli(

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.sparse.linalg import splu
 
 from conftest import (
     constant_cube,
@@ -269,6 +270,41 @@ class TestSolve:
             assert np.array_equal(solution[:, 1], np.zeros(64))
             assert report.iterations[1] == 0 and report.residuals[1] == 0.0
             assert 0.0 < report.residuals[0] <= 1e-7
+
+    @pytest.mark.parametrize("bands", [1, 8, 9, 31])
+    def test_blocked_direct_solve_matches_single_columns(self, bands):
+        system = self.random_system(height=24, width=24, bands=bands, seed=13)
+        solution, report = solve(system, method="direct")
+        factor = splu(
+            system.matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        expected = np.column_stack(
+            [factor.solve(system.rhs[:, channel]) for channel in range(bands)]
+        )
+        rel = np.abs(solution - expected).max() / np.abs(expected).max()
+        assert rel <= 1e-12
+        assert solution.flags.f_contiguous
+        assert report.iterations == (0,) * bands
+        assert all(0.0 < r <= 1e-7 for r in report.residuals)
+
+    def test_blocked_direct_solve_skips_interleaved_zero_channels(self):
+        system = self.random_system(height=24, width=24, bands=19, seed=14)
+        zero = [0, 3, 8, 9, 17]
+        system.rhs[:, zero] = 0.0
+        solution, report = solve(system, method="direct")
+        active = [c for c in range(19) if c not in zero]
+        dense = np.linalg.solve(system.matrix.toarray(), system.rhs[:, active])
+        assert np.allclose(solution[:, active], dense, rtol=0, atol=1e-10)
+        for channel in range(19):
+            if channel in zero:
+                assert np.array_equal(solution[:, channel], np.zeros(24 * 24))
+                assert report.residuals[channel] == 0.0
+            else:
+                assert 0.0 < report.residuals[channel] <= 1e-7
+            assert report.iterations[channel] == 0
 
     def test_unreachable_tolerance_raises_with_residual(self):
         system = self.random_system(height=48, width=48, seed=10)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.stats import wasserstein_distance
 
 from conftest import random_cube
@@ -17,6 +18,7 @@ from hypercolor import (
     ssim,
     ssv,
 )
+from hypercolor import metrics
 
 
 def ssim_oracle(truth, recon, peak=None):
@@ -43,6 +45,35 @@ def ssim_oracle(truth, recon, peak=None):
                 ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
                 / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
             )
+    return float(np.mean(scores))
+
+
+def ssim_five_blur(truth, recon):
+    """Textbook SSIM: one separable blur each for mu_a, mu_b, E[a^2],
+    E[b^2] and E[ab]."""
+    taps = np.exp(-(np.arange(-5, 6) ** 2) / (2.0 * 1.5**2))
+    taps /= taps.sum()
+
+    def blur(image):
+        out = ndimage.correlate1d(image, taps, axis=0, mode="constant")
+        return ndimage.correlate1d(out, taps, axis=1, mode="constant")
+
+    if truth.ndim == 2:
+        truth, recon = truth[:, :, None], recon[:, :, None]
+    peak = truth.max()
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    scores = []
+    for band in range(truth.shape[2]):
+        a, b = truth[:, :, band], recon[:, :, band]
+        mu_a, mu_b = blur(a), blur(b)
+        var_a = blur(a * a) - mu_a * mu_a
+        var_b = blur(b * b) - mu_b * mu_b
+        cov = blur(a * b) - mu_a * mu_b
+        ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+            (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        )
+        scores.append(ssim_map[5:-5, 5:-5].mean())
     return float(np.mean(scores))
 
 
@@ -95,6 +126,15 @@ class TestSsim:
             [ssim_oracle(truth[:, :, b], recon[:, :, b], peak=peak) for b in range(3)]
         )
         assert ssim(truth, recon) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(40, 37), (33, 41, 5)])
+    def test_matches_five_blur_formula(self, shape):
+        rng = np.random.default_rng(4)
+        truth = rng.random(shape)
+        recon = np.clip(truth + rng.normal(0, 0.1, shape), 0, None)
+        assert ssim(truth, recon) == pytest.approx(
+            ssim_five_blur(truth, recon), rel=0, abs=1e-12
+        )
 
     def test_identical_images_score_one(self):
         image = np.random.default_rng(3).random((12, 12))
@@ -391,3 +431,25 @@ class TestEvaluate:
         assert report.ssv == ssv(truth, recon)
         assert report.emd == emd(truth, recon)
         assert report.wall_ms == 3.5
+
+    def test_validates_the_pair_once(self, monkeypatch):
+        truth = random_cube(12, 12, 4, seed=19)
+        calls = []
+        checked = metrics._paired_arrays
+
+        def counting(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(metrics, "_paired_arrays", counting)
+        evaluate(truth, truth.data * 0.9)
+        assert len(calls) == 1
+
+    def test_rejects_non_finite_and_non_spectral_pairs(self):
+        truth = random_cube(12, 12, 4, seed=20)
+        bad = truth.data.copy()
+        bad[3, 4, 1] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            evaluate(truth, bad)
+        with pytest.raises(ValidationError, match="3-d"):
+            evaluate(truth.data[:, :, 0], truth.data[:, :, 0])
