@@ -21,7 +21,7 @@ import numpy as np
 from . import formats
 from .colorizer import _check_percentiles, colorize
 from .core import HyperCube
-from .errors import ConfigError, HyperColorError, ValidationError
+from .errors import ConfigError, FormatError, HyperColorError, ValidationError
 from .harness import (
     _FIELD_PARSERS,
     PATTERNS,
@@ -56,15 +56,27 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _load_npy(path) -> np.ndarray:
+    try:
+        return np.load(path)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a plain .npy array ({exc})") from None
+
+
 def _parse_wavelengths(text: str, bands: int) -> np.ndarray:
     """Accept start:stop (linspace over the band count), a comma list, or
     a .npy path."""
     if text.endswith(".npy"):
-        return np.load(text)
-    if ":" in text:
-        start, stop = text.split(":", 1)
-        return np.linspace(float(start), float(stop), bands)
-    values = np.array([float(token) for token in text.split(",")])
+        return _load_npy(text)
+    try:
+        if ":" in text:
+            start, stop = text.split(":")
+            return np.linspace(float(start), float(stop), bands)
+        values = np.array([float(token) for token in text.split(",")])
+    except ValueError:
+        raise ConfigError(
+            f"--wavelengths expects start:stop, a comma list or a .npy path, got {text!r}"
+        ) from None
     if values.size != bands:
         raise ConfigError(
             f"--wavelengths lists {values.size} values for {bands} bands"
@@ -141,11 +153,22 @@ def _config_from_args(args) -> ExperimentConfig:
     """Flag over environment over --config file over built-in default.
 
     The settings are merged first and checked once, so a bad value that a
-    flag overrides is never checked.
+    flag overrides is never checked. A command without --config reads from
+    the environment only the settings it has flags for.
     """
-    values = _config_values(getattr(args, "config", None))
-    for flag, (name, _text) in _CONFIG_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+    flags = {
+        flag: name for flag, (name, _text) in _CONFIG_FLAGS.items()
+        if hasattr(args, flag[2:].replace("-", "_"))
+    }
+    if hasattr(args, "config"):
+        values = _config_values(args.config)
+    else:
+        names = set(flags.values())
+        if hasattr(args, "no_edge_filter"):
+            names.add("edge_filter")
+        values = _config_values(env_fields=names)
+    for flag, name in flags.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             values[name] = _FIELD_PARSERS[name](value, flag)
     if getattr(args, "no_edge_filter", False):
@@ -153,6 +176,19 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "include_timing", False):
         values["include_timing"] = True
     return ExperimentConfig(**values)
+
+
+def _check_rank(config: ExperimentConfig, bands: int) -> None:
+    if config.rank is not None and config.rank > bands:
+        raise ConfigError(f"rank {config.rank} exceeds the cube's {bands} bands")
+
+
+def _harness_inputs(args) -> tuple[HyperCube, ExperimentConfig]:
+    """The ground-truth cube and the run settings of a harness command."""
+    cube = formats.read_cube(args.cube)
+    config = _config_from_args(args)
+    _check_rank(config, cube.bands)
+    return cube, config
 
 
 def _add_harness_args(parser) -> None:
@@ -179,7 +215,7 @@ def _cmd_convert(args) -> int:
     src = Path(args.input)
     dst = Path(args.output)
     if src.suffix == ".npy":
-        data = np.load(src)
+        data = _load_npy(src)
         if data.ndim != 3:
             raise ConfigError(f"{src}: expected a 3-d array, got shape {data.shape}")
         if args.wavelengths is None:
@@ -230,6 +266,7 @@ def _cmd_sample(args) -> int:
 def _cmd_basis_learn(args) -> int:
     config = _config_from_args(args)
     cubes = [formats.read_cube(path) for path in args.cubes]
+    _check_rank(config, cubes[0].bands)
     basis = learn_basis(cubes, rank=config.rank)
     formats.write_basis(basis, args.out)
     _print_json({"bands": basis.bands, "rank": basis.rank, "source": basis.source})
@@ -321,8 +358,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cube = formats.read_cube(args.cube)
-    config = _config_from_args(args)
+    cube, config = _harness_inputs(args)
     model = read_model(args.model) if args.model else None
     result = run_pipeline(cube, config, model=model, label=Path(args.cube).stem)
 
@@ -348,12 +384,8 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_sweep_dim(args) -> int:
-    cube = formats.read_cube(args.cube)
-    config = _config_from_args(args)
-    dims = _parse_int_list(args.dims, "--dims")
-    budgets = _parse_float_list(args.budgets, "--budgets") if args.budgets else None
-    result = grid_search_dimension(cube, config, dims, budgets)
+def _emit_sweep(args, config, result) -> int:
+    """Write a sweep's --out report and --csv plot data, then print it."""
     if args.out:
         write_json(result, args.out, config.include_timing)
     if args.csv:
@@ -362,33 +394,28 @@ def _cmd_sweep_dim(args) -> int:
     return 0
 
 
+def _cmd_sweep_dim(args) -> int:
+    cube, config = _harness_inputs(args)
+    dims = _parse_int_list(args.dims, "--dims")
+    budgets = _parse_float_list(args.budgets, "--budgets") if args.budgets else None
+    return _emit_sweep(args, config, grid_search_dimension(cube, config, dims, budgets))
+
+
 def _cmd_sweep_budget(args) -> int:
-    cube = formats.read_cube(args.cube)
-    config = _config_from_args(args)
+    cube, config = _harness_inputs(args)
     ratios = _parse_float_list(args.ratios, "--ratios")
     model = read_model(args.model) if args.model else None
     result = time_budget_sweep(
         cube, config, ratios, model=model, label=Path(args.cube).stem
     )
-    if args.out:
-        write_json(result, args.out, config.include_timing)
-    if args.csv:
-        export_plotdata(result, args.csv, include_timing=config.include_timing)
-    _print_json(result.to_dict(config.include_timing))
-    return 0
+    return _emit_sweep(args, config, result)
 
 
 def _cmd_compare_sampling(args) -> int:
-    cube = formats.read_cube(args.cube)
-    config = _config_from_args(args)
+    cube, config = _harness_inputs(args)
     patterns = tuple(args.patterns.split(",")) if args.patterns else PATTERNS
     result = compare_sampling(cube, config, patterns, label=Path(args.cube).stem)
-    if args.out:
-        write_json(result, args.out, config.include_timing)
-    if args.csv:
-        export_plotdata(result, args.csv, include_timing=config.include_timing)
-    _print_json(result.to_dict(config.include_timing))
-    return 0
+    return _emit_sweep(args, config, result)
 
 
 def _cmd_train_dim_model(args) -> int:
@@ -477,19 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--out", required=True, help="output path")
     bp.set_defaults(handler=_cmd_basis_project)
 
-    bp = basis_sub.add_parser("estimate-dim",
+    # the same command, under basis and at the top level
+    for parent in (basis_sub, sub):
+        p = parent.add_parser("estimate-dim",
                               help="estimate reconstruction dimension from clues")
-    bp.add_argument("--clues", required=True, help="clue file")
-    bp.add_argument("--basis", required=True, help="full-rank basis file")
-    bp.add_argument("--model", default=None,
-                    help="dimension model JSON (default: elbow)")
-    bp.set_defaults(handler=_cmd_estimate_dim)
-
-    p = sub.add_parser("estimate-dim", help="estimate reconstruction dimension from clues")
-    p.add_argument("--clues", required=True, help="clue file")
-    p.add_argument("--basis", required=True, help="full-rank basis file")
-    p.add_argument("--model", default=None, help="dimension model JSON (default: elbow)")
-    p.set_defaults(handler=_cmd_estimate_dim)
+        p.add_argument("--clues", required=True, help="clue file")
+        p.add_argument("--basis", required=True, help="full-rank basis file")
+        p.add_argument("--model", default=None,
+                       help="dimension model JSON (default: elbow)")
+        p.set_defaults(handler=_cmd_estimate_dim)
 
     p = sub.add_parser("colorize", help="reconstruct a cube from guide and clues")
     p.add_argument("--guide", required=True, help="guide PGM")

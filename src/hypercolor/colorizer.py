@@ -270,12 +270,6 @@ class AffinitySystem:
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
-    clue_mask: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def channels(self) -> int:
-        return self.rhs.shape[1]
 
 
 def build_system(guide, clues: ClueSet) -> AffinitySystem:
@@ -324,7 +318,7 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
 
     rhs = np.zeros((total, clues.bands), dtype=np.float64)
     rhs[np.flatnonzero(clues.mask.ravel())] = clues.spectra
-    return AffinitySystem(matrix, rhs, clues.mask.copy(), (height, width))
+    return AffinitySystem(matrix, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -674,16 +668,14 @@ def _solve_coefficients(
 
 
 def _finish(
-    solution, values, wavelengths, basis=None, *, response_guide=None,
-    response_recon=None, alpha="auto",
+    spectra, values, wavelengths, *, response_guide=None, response_recon=None,
+    alpha="auto",
 ) -> tuple[HyperCube, int]:
-    """Second stage of :func:`colorize`: unproject, rescale, clamp.
+    """Second stage of :func:`colorize`: rescale and clamp.
 
-    ``solution`` holds basis coefficients when ``basis`` is given and
-    spectra otherwise. The rescaled cube is clamped at zero in place.
-    Returns the cube and its count of degenerate pixels.
+    ``spectra`` is (pixel count, bands). The rescaled cube is clamped at
+    zero in place. Returns the cube and its count of degenerate pixels.
     """
-    spectra = unproject(solution, basis) if basis is not None else solution
     scaled, degenerate = luminance_rescale(
         spectra.reshape(*values.shape, -1), values, response_guide=response_guide,
         response_recon=response_recon, alpha=alpha,
@@ -759,8 +751,8 @@ def colorize(
         canny_low=canny_low, canny_high=canny_high,
         method=method, tol=tol, max_iter=max_iter,
     )
-    # unprojecting here rather than in _finish frees the coefficients
-    # before the rescale allocates its output
+    # dropping the coefficients before the rescale allocates its output
+    # keeps the peak memory down
     spectra = unproject(solution, basis) if basis is not None else solution
     del solution
     cube, degenerate_pixels = _finish(

@@ -212,12 +212,6 @@ class SpectralResponse:
             )
         return cls(wl, weights, name="visible-flat")
 
-    @classmethod
-    def flat(cls, wavelengths) -> "SpectralResponse":
-        """Uniform weight over every band."""
-        wl = np.asarray(wavelengths, dtype=np.float64)
-        return cls(wl, np.ones_like(wl), name="flat")
-
 
 def _resolve_response(
     wavelengths: NDArrayF, response: SpectralResponse | None

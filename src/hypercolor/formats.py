@@ -275,8 +275,12 @@ def read_guide(path) -> GuideImage:
     scale = 1.0
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="ascii"))
-        scale = float(meta["scale"])
+        try:
+            scale = float(json.loads(sidecar.read_text(encoding="ascii"))["scale"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise FormatError(
+                f"{sidecar}: not a guide sidecar with a numeric scale ({exc!r})"
+            ) from None
     return GuideImage(ints.astype(np.float64) * scale)
 
 

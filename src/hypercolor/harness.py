@@ -18,12 +18,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .colorizer import _finish, _solve_coefficients, colorize
-from .core import HyperCube, SpectralResponse
-from .errors import ConfigError, ValidationError
+from .core import HyperCube, SpectralResponse, _resolve_response
+from .errors import ConfigError, FormatError, ValidationError
 from .metrics import CSV_COLUMNS, MetricReport, emd_map, evaluate
 from .noisesim import NoiseParams, simulate_clues, simulate_guide
 from .sampling import PATTERNS, SamplingPlan, build_mask
@@ -35,6 +36,7 @@ from .subspace import (
     estimate_dimension,
     fit_dimension_model,
     learn_basis,
+    unproject,
     variance_curve,
 )
 
@@ -251,11 +253,12 @@ def load_config(path=None, env=None) -> ExperimentConfig:
     return ExperimentConfig(**_config_values(path, env))
 
 
-def _config_values(path=None, env=None) -> dict:
+def _config_values(path=None, env=None, env_fields=None) -> dict:
     """Parsed field -> value settings of the JSON file, then the environment.
 
     Values are parsed but not yet checked together, so a caller can lay
     higher-precedence settings over them before building the config.
+    ``env_fields``, when given, limits the environment to those fields.
     """
     names = [spec.name for spec in fields(ExperimentConfig)]
     data = {}
@@ -275,7 +278,7 @@ def _config_values(path=None, env=None) -> dict:
     env = os.environ if env is None else env
     for name in names:
         key = ENV_PREFIX + name.upper()
-        if key in env:
+        if key in env and (env_fields is None or name in env_fields):
             data[name] = _FIELD_PARSERS[name](env[key], name)
     return data
 
@@ -420,11 +423,7 @@ def run_pipeline(
         cube and mask, and a MetricReport against the ground truth.
     """
     start = time.perf_counter()
-    resolved = (
-        response
-        if response is not None
-        else SpectralResponse.visible_flat(cube.wavelengths)
-    )
+    resolved = _resolve_response(cube.wavelengths, response)
     guide, mask, clues, guide_time, clue_time = _acquire(cube, config, resolved)
     working_basis = (
         basis if basis is not None else _learn_pipeline_basis(cube, clues, config)
@@ -546,7 +545,7 @@ def _search_one_budget(cube, config, dims, response):
     reports = []
     for dim in dims:
         recon, _degenerate = _finish(
-            solution[:, :dim], guide.values, cube.wavelengths, basis,
+            unproject(solution[:, :dim], basis), guide.values, cube.wavelengths,
             response_guide=response, alpha=config.rescale_alpha,
         )
         reports.append(evaluate(cube, recon))
@@ -581,17 +580,11 @@ def grid_search_dimension(
     )
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
-    resolved = (
-        response
-        if response is not None
-        else SpectralResponse.visible_flat(cube.wavelengths)
+    resolved = _resolve_response(cube.wavelengths, response)
+    outcomes = _sweep(
+        lambda run_config: _search_one_budget(cube, run_config, dims, resolved),
+        config, "time_budget", budgets,
     )
-
-    def make_task(budget):
-        run_config = replace(config, time_budget=budget)
-        return lambda: _search_one_budget(cube, run_config, dims, resolved)
-
-    outcomes = _run_many([make_task(b) for b in budgets], config.workers)
     reports = tuple(outcome[0] for outcome in outcomes)
     best_dims = tuple(outcome[1] for outcome in outcomes)
     curves = tuple(outcome[2] for outcome in outcomes)
@@ -699,6 +692,12 @@ def _run_many(tasks, workers: int):
         return [future.result() for future in futures]
 
 
+def _sweep(run, config: ExperimentConfig, field: str, values) -> list:
+    """``run(config)`` with ``field`` set to each value, in value order."""
+    configs = [replace(config, **{field: value}) for value in values]
+    return _run_many([partial(run, run_config) for run_config in configs], config.workers)
+
+
 def _attach_emd_histogram(cube, result: PipelineResult) -> PipelineResult:
     values = emd_map(cube, result.recon)
     finite = values[np.isfinite(values)]
@@ -727,14 +726,8 @@ def time_budget_sweep(
         raise ValidationError("sweep needs at least one sampling ratio")
     if any(not 0 < r <= 1 for r in ratios):
         raise ValidationError(f"ratios must be in (0, 1], got {ratios}")
-
-    def make_task(ratio):
-        run_config = replace(config, rate=ratio)
-        return lambda: run_pipeline(
-            cube, run_config, basis=basis, model=model, label=label
-        )
-
-    results = _run_many([make_task(r) for r in ratios], config.workers)
+    run = partial(run_pipeline, cube, basis=basis, model=model, label=label)
+    results = _sweep(run, config, "rate", ratios)
     return SweepResult(tuple(_attach_emd_histogram(cube, r) for r in results))
 
 
@@ -756,14 +749,8 @@ def compare_sampling(
     patterns = tuple(patterns)
     if not patterns:
         raise ValidationError("comparison needs at least one pattern")
-
-    def make_task(pattern):
-        run_config = replace(config, pattern=pattern)
-        return lambda: run_pipeline(
-            cube, run_config, basis=basis, model=model, label=label
-        )
-
-    results = _run_many([make_task(p) for p in patterns], config.workers)
+    run = partial(run_pipeline, cube, basis=basis, model=model, label=label)
+    results = _sweep(run, config, "pattern", patterns)
     return SweepResult(tuple(results))
 
 
@@ -901,16 +888,23 @@ def export_plotdata(data, path, kind: str | None = None,
     if resolved == "sweep":
         resolved = "summary"
     rows = payload["rows"]
-    if resolved == "summary":
-        header, body = _SUMMARY_COLUMNS, _summary_csv(rows)
-    elif resolved == "histogram":
-        header, body = _HISTOGRAM_COLUMNS, _histogram_csv(rows)
-    elif resolved == "dims":
-        header, body = _DIMS_COLUMNS, _dims_csv(rows)
-    elif resolved == "curve":
-        header, body = _CURVE_COLUMNS, _curve_csv(rows)
-    else:
-        raise ValidationError(f"unknown plot data kind {resolved!r}")
+    try:
+        if resolved == "summary":
+            header, body = _SUMMARY_COLUMNS, _summary_csv(rows)
+        elif resolved == "histogram":
+            header, body = _HISTOGRAM_COLUMNS, _histogram_csv(rows)
+        elif resolved == "dims":
+            header, body = _DIMS_COLUMNS, _dims_csv(rows)
+        elif resolved == "curve":
+            header, body = _CURVE_COLUMNS, _curve_csv(rows)
+        else:
+            raise ValidationError(f"unknown plot data kind {resolved!r}")
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"report rows are not {resolved} rows with its columns ({exc!r})"
+        ) from None
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(cell) for cell in row) for row in body)
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -131,14 +131,17 @@ def sample_random(shape: tuple[int, int], rate: float, seed: int = 0) -> np.ndar
     return mask.reshape(height, width)
 
 
+def _row_mask(weights: np.ndarray, width: int, rate: float) -> np.ndarray:
+    """Whole rows picked by the threshold walk over per-row weights."""
+    rows = _threshold_select(weights, 1.0 / rate)
+    return np.repeat(rows[:, None], width, axis=1)
+
+
 def sample_uniform_push(shape: tuple[int, int], rate: float) -> np.ndarray:
     """Whole rows at the target rate via accumulate-and-threshold."""
     _check_rate(rate)
     height, width = shape
-    rows = _threshold_select(np.ones(height), 1.0 / rate)
-    mask = np.zeros((height, width), dtype=bool)
-    mask[rows, :] = True
-    return mask
+    return _row_mask(np.ones(height), width, rate)
 
 
 def sample_uniform_whisk(shape: tuple[int, int], rate: float) -> np.ndarray:
@@ -189,28 +192,49 @@ def _posterize(values: np.ndarray, levels: int = _POSTERIZE_LEVELS) -> np.ndarra
     return np.clip(quantized, 0, levels - 1)
 
 
-def _spread_feature(feature: np.ndarray) -> np.ndarray:
-    """Min-max rescale into [0.1, 1.0]; all ones when the feature is flat."""
+def _guide_features(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner map (1.0 at each detected corner) and posterized levels."""
+    corners = detect_corners(values)
+    corner_map = np.zeros(values.shape, dtype=np.float64)
+    corner_map[corners[:, 0], corners[:, 1]] = 1.0
+    return corner_map, _posterize(values)
+
+
+def _spread_feature(feature) -> np.ndarray:
+    """Min-max rescale into [0.1, 1.0], then to unit mean; all ones when
+    the feature is flat."""
+    feature = np.asarray(feature, dtype=np.float64)
     lo = float(feature.min())
     hi = float(feature.max())
     if hi <= lo:
         return np.ones_like(feature)
-    return 0.1 + 0.9 * (feature - lo) / (hi - lo)
+    spread = 0.1 + 0.9 * (feature - lo) / (hi - lo)
+    return spread / spread.mean()
 
 
-def _unit_mean(weights: np.ndarray) -> np.ndarray:
-    return weights / weights.mean()
+def _axis_weights(
+    corner_map: np.ndarray, levels: np.ndarray, axis: int, half_width: int, alpha: float
+) -> np.ndarray:
+    """Structure weights per position along ``axis`` of a guide region.
 
-
-def _feature_weights(feature: np.ndarray) -> np.ndarray:
-    return _unit_mean(_spread_feature(np.asarray(feature, dtype=np.float64)))
-
-
-def _band_sum_1d(values: np.ndarray, half_width: int) -> np.ndarray:
+    The corner feature counts corners within +-``half_width`` positions;
+    the diversity feature counts the gray levels present there. Each is
+    spread into [0.1, 1.0] at unit mean, then blended by ``alpha``.
+    """
+    across = 1 - axis
+    window = 2 * half_width + 1
     # ndimage keeps the output the size of the input even when the window
-    # is wider than the image; np.convolve "same" would return the window
-    window = np.ones(2 * half_width + 1)
-    return ndimage.convolve1d(values, window, mode="constant", cval=0.0)
+    # is wider than the region; np.convolve "same" would return the window
+    corners = ndimage.convolve1d(
+        corner_map.sum(axis=across), np.ones(window), mode="constant", cval=0.0
+    )
+    presence = np.stack(
+        [(levels == level).any(axis=across) for level in range(_POSTERIZE_LEVELS)]
+    ).astype(np.uint8)
+    diversity = ndimage.maximum_filter1d(
+        presence, size=window, axis=1, mode="constant", cval=0
+    ).sum(axis=0)
+    return alpha * _spread_feature(corners) + (1.0 - alpha) * _spread_feature(diversity)
 
 
 def compute_row_weights(guide, alpha: float = 0.7) -> RowWeights:
@@ -220,25 +244,8 @@ def compute_row_weights(guide, alpha: float = 0.7) -> RowWeights:
     [0.1, 1.0] and normalized to unit mean before blending, so a constant
     guide degrades to uniform weights.
     """
-    values = _guide_values(guide)
-    height = values.shape[0]
-    corners = detect_corners(values)
-    corner_rows = np.bincount(corners[:, 0], minlength=height).astype(np.float64)
-    corner_feature = _band_sum_1d(corner_rows, _ROW_BAND)
-
-    levels = _posterize(values)
-    row_presence = np.zeros((height, _POSTERIZE_LEVELS), dtype=np.uint8)
-    for level in range(_POSTERIZE_LEVELS):
-        row_presence[:, level] = (levels == level).any(axis=1)
-    band_presence = ndimage.maximum_filter1d(
-        row_presence, size=2 * _ROW_BAND + 1, axis=0, mode="constant", cval=0
-    )
-    diversity_feature = band_presence.sum(axis=1).astype(np.float64)
-
-    combined = alpha * _feature_weights(corner_feature) + (1.0 - alpha) * _feature_weights(
-        diversity_feature
-    )
-    return RowWeights(combined)
+    corner_map, levels = _guide_features(_guide_values(guide))
+    return RowWeights(_axis_weights(corner_map, levels, 0, _ROW_BAND, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -249,64 +256,32 @@ def sample_guided_push(guide, rate: float, alpha: float = 0.7) -> np.ndarray:
     """Whole rows, more of them where the guide shows structure."""
     _check_rate(rate)
     values = _guide_values(guide)
-    height, width = values.shape
-    weights = compute_row_weights(values, alpha).weights
-    rows = _threshold_select(weights, 1.0 / rate)
-    mask = np.zeros((height, width), dtype=bool)
-    mask[rows, :] = True
-    return mask
-
-
-def _column_features(
-    values: np.ndarray, levels: np.ndarray, corner_map: np.ndarray, row: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corner and diversity counts per column around one scan row."""
-    height, width = values.shape
-    band = slice(max(0, row - _ROW_BAND), min(height, row + _ROW_BAND + 1))
-    corner_cols = corner_map[band].sum(axis=0).astype(np.float64)
-    corner_feature = _band_sum_1d(corner_cols, _COL_BAND)
-
-    presence = np.zeros((_POSTERIZE_LEVELS, width), dtype=np.uint8)
-    band_levels = levels[band]
-    for level in range(_POSTERIZE_LEVELS):
-        presence[level] = (band_levels == level).any(axis=0)
-    windowed = ndimage.maximum_filter1d(
-        presence, size=2 * _COL_BAND + 1, axis=1, mode="constant", cval=0
-    )
-    diversity_feature = windowed.sum(axis=0).astype(np.float64)
-    return corner_feature, diversity_feature
+    return _row_mask(compute_row_weights(values, alpha).weights, values.shape[1], rate)
 
 
 def sample_guided_whisk(guide, rate: float, alpha: float = 0.7) -> np.ndarray:
     """Guided rows, then guided pixels within each selected row.
 
-    Rows come from :func:`sample_guided_push` at rate sqrt(rate); within a
+    Rows come from the guided push weights at rate sqrt(rate); within a
     selected row, per-pixel weights blend corner and diversity counts in a
-    +-10-column window over the row band, and pixels fire through the same
-    accumulate-and-threshold walk at threshold 1/sqrt(rate).
+    +-10-column window over the +-5-row band, and pixels fire through the
+    same accumulate-and-threshold walk at threshold 1/sqrt(rate).
     """
     _check_rate(rate)
     values = _guide_values(guide)
-    height, width = values.shape
-    axis_rate = np.sqrt(rate)
-    row_weights = compute_row_weights(values, alpha).weights
-    rows = _threshold_select(row_weights, 1.0 / axis_rate)
-
-    corners = detect_corners(values)
-    corner_map = np.zeros((height, width), dtype=np.float64)
-    if corners.size:
-        corner_map[corners[:, 0], corners[:, 1]] = 1.0
-    levels = _posterize(values)
-
-    mask = np.zeros((height, width), dtype=bool)
+    height = values.shape[0]
+    threshold = 1.0 / np.sqrt(rate)
+    corner_map, levels = _guide_features(values)
+    rows = _threshold_select(
+        _axis_weights(corner_map, levels, 0, _ROW_BAND, alpha), threshold
+    )
+    mask = np.zeros(values.shape, dtype=bool)
     for row in np.flatnonzero(rows):
-        corner_feature, diversity_feature = _column_features(
-            values, levels, corner_map, int(row)
+        band = slice(max(0, row - _ROW_BAND), min(height, row + _ROW_BAND + 1))
+        pixel_weights = _axis_weights(
+            corner_map[band], levels[band], 1, _COL_BAND, alpha
         )
-        pixel_weights = alpha * _feature_weights(corner_feature) + (
-            1.0 - alpha
-        ) * _feature_weights(diversity_feature)
-        mask[row] = _threshold_select(pixel_weights, 1.0 / axis_rate)
+        mask[row] = _threshold_select(pixel_weights, threshold)
     return mask
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClueSet, HyperCube, NDArrayF
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 
 __all__ = [
     "SpectralBasis",
@@ -428,11 +428,22 @@ def write_model(model: DimensionModel, path) -> None:
 def read_model(path) -> DimensionModel:
     """Read a dimension model written by :func:`write_model`."""
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: model file is not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: model file must hold a JSON object")
     missing = [name for name in _MODEL_FIELDS if name not in payload]
     if missing:
         raise ValidationError(f"{path}: model file missing fields {missing}")
     kwargs = {name: payload[name] for name in _MODEL_FIELDS}
+    for name, value in kwargs.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not np.isfinite(value):
+            raise FormatError(
+                f"{path}: model field {name} must be a finite number, got {value!r}"
+            )
     kwargs["clamp_min"] = int(kwargs["clamp_min"])
     kwargs["clamp_max"] = int(kwargs["clamp_max"])
     return DimensionModel(**kwargs)

@@ -29,6 +29,13 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def assert_error(capsys, code, *argv):
+    """The CLI ends ``argv`` with exit ``code`` and one error line."""
+    assert main(list(argv)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
@@ -379,6 +386,19 @@ class TestBasis:
         )
         assert code == 2
 
+    def test_rank_above_bands_is_usage_error(self, tmp_path, capsys, cube_file):
+        out = tmp_path / "basis.hsb"
+        assert_error(capsys, 2, "basis", "learn", str(cube_file), "--rank", "99",
+                     "--out", str(out))
+        assert not out.exists()
+
+    def test_mismatched_wavelengths_stay_runtime_error(self, tmp_path, capsys, cube_file):
+        other = tmp_path / "other.hsc"
+        shifted = wavelengths_for(4, (500.0, 900.0))
+        formats.write_cube(HyperCube(random_cube(16, 16, 4, seed=5).data, shifted), other)
+        assert_error(capsys, 3, "basis", "learn", str(cube_file), str(other),
+                     "--rank", "2", "--out", str(tmp_path / "basis.hsb"))
+
     def test_estimate_dim_nested_and_top_level_agree(
         self, tmp_path, capsys, deep_cube_file, deep_clue_file
     ):
@@ -605,6 +625,10 @@ class TestPipeline:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_env_rank_above_bands_is_usage_error(self, capsys, cube_file, monkeypatch):
+        monkeypatch.setenv("HYPERCOLOR_RANK", "99")
+        assert_error(capsys, 2, "pipeline", str(cube_file))
+
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, cube_file):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"bogus_knob": 1}))
@@ -698,6 +722,77 @@ class TestSweepCommands:
             capsys, "export-plotdata", str(bad), "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+
+class TestEnvScoping:
+    def test_stage_commands_ignore_settings_they_do_not_take(
+        self, tmp_path, capsys, cube_file, monkeypatch
+    ):
+        monkeypatch.setenv("HYPERCOLOR_TOL", "0")
+        payload = run_json(capsys, "sample", "--shape", "8x8",
+                           "--out", str(tmp_path / "m.pbm"))
+        assert payload["shape"] == [8, 8]
+        run_json(capsys, "basis", "learn", str(cube_file),
+                 "--out", str(tmp_path / "basis.hsb"))
+
+    def test_colorize_reads_its_solver_settings(
+        self, tmp_path, capsys, guide_file, clue_file, monkeypatch
+    ):
+        monkeypatch.setenv("HYPERCOLOR_TOL", "0")
+        assert_error(capsys, 2, "colorize", "--guide", str(guide_file),
+                     "--clues", str(clue_file), "--out", str(tmp_path / "r.hsc"))
+
+    def test_colorize_reads_edge_filter(
+        self, tmp_path, capsys, guide_file, clue_file, monkeypatch
+    ):
+        monkeypatch.setenv("HYPERCOLOR_EDGE_FILTER", "maybe")
+        assert_error(capsys, 2, "colorize", "--guide", str(guide_file),
+                     "--clues", str(clue_file), "--out", str(tmp_path / "r.hsc"))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("sidecar", ["not json", '{"gain": 2.0}'])
+    def test_bad_guide_sidecar(self, tmp_path, capsys, guide_file, sidecar):
+        (tmp_path / "guide.pgm.json").write_text(sidecar)
+        assert_error(capsys, 3, "sample", "--guide", str(guide_file),
+                     "--pattern", "guided-push", "--out", str(tmp_path / "m.pbm"))
+
+    @pytest.mark.parametrize("model", ["not json", "non-numeric"])
+    def test_bad_model_file(self, tmp_path, capsys, cube_file, clue_file, model):
+        basis = tmp_path / "basis.hsb"
+        run_json(capsys, "basis", "learn", str(cube_file), "--out", str(basis))
+        path = tmp_path / "model.json"
+        if model == "not json":
+            path.write_text("not json")
+        else:
+            fields = ("intercept", "elbow", "log_min_variance", "elbow_sq",
+                      "log_min_variance_sq", "elbow_x_log_min_variance")
+            payload = {name: 0.5 for name in fields}
+            payload.update(elbow="abc", clamp_min=2, clamp_max=4)
+            path.write_text(json.dumps(payload))
+        assert_error(capsys, 3, "estimate-dim", "--clues", str(clue_file),
+                     "--basis", str(basis), "--model", str(path))
+
+    def test_pickled_npy(self, tmp_path, capsys):
+        src = tmp_path / "stack.npy"
+        np.save(src, np.array([{"bands": 3}], dtype=object), allow_pickle=True)
+        assert_error(capsys, 3, "convert", str(src), str(tmp_path / "out.hsc"),
+                     "--wavelengths", "400:600")
+
+    def test_non_numeric_wavelength(self, tmp_path, capsys):
+        src = tmp_path / "stack.npy"
+        np.save(src, np.full((2, 2, 3), 0.5))
+        assert_error(capsys, 2, "convert", str(src), str(tmp_path / "out.hsc"),
+                     "--wavelengths", "400,abc,600")
+
+    @pytest.mark.parametrize(
+        "rows", [[{"image": "scene"}], "not a list", [[1, 2]], [{"pattern": "x"}, 3]]
+    )
+    def test_report_rows_without_columns(self, tmp_path, capsys, rows):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"kind": "sweep", "rows": rows}))
+        assert_error(capsys, 3, "export-plotdata", str(report),
+                     "--out", str(tmp_path / "x.csv"))
 
 
 class TestUsageErrors:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,17 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from hypercolor import affinity_weights  # noqa: E402
+from hypercolor import (  # noqa: E402
+    HyperCube,
+    NoiseParams,
+    TruncatedFileError,
+    affinity_weights,
+    clues_to_cube,
+    cube_to_clues,
+    formats,
+    learn_basis,
+    simulate_clues,
+)
 
 # 8-bit-style guides: distinct levels stay at least one step apart, so an
 # affine map cannot round a difference between two pixels away
@@ -32,3 +45,67 @@ def test_affinity_rows_sum_to_one_and_ignore_affine_rescale(guide, scale, offset
     np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     rescaled = affinity_weights(scale * guide + offset)
     np.testing.assert_allclose(rescaled, weights, rtol=0, atol=1e-7)
+
+
+@st.composite
+def cubes(draw, max_side=4, max_bands=3):
+    """Small cubes whose values survive the float32 payload of cube files."""
+    height, width = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    bands = draw(st.integers(1, max_bands))
+    data = draw(
+        arrays(np.float32, (height, width, bands), elements=st.floats(0.0, 1.0, width=32))
+    )
+    return HyperCube(data.astype(np.float64), np.linspace(420.0, 680.0, bands))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cube=cubes(max_side=6, max_bands=4),
+    data=st.data(),
+    t=st.floats(1e-7, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_clue_noise_ignores_the_rest_of_the_mask(cube, data, t, seed):
+    shape = (cube.height, cube.width)
+    mask = data.draw(arrays(np.bool_, shape))
+    mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+    params = NoiseParams(t=t, seed=seed)
+    alone = clues_to_cube(simulate_clues(cube, mask, params)).data
+    among_all = clues_to_cube(simulate_clues(cube, np.ones(shape, bool), params)).data
+    assert np.array_equal(alone[mask], among_all[mask])
+
+
+def _truncations_raise(path, read):
+    blob = path.read_bytes()
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(TruncatedFileError):
+            read(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cube=cubes(), data=st.data())
+def test_binary_files_round_trip_and_truncations_raise(cube, data):
+    clues = cube_to_clues(cube, data.draw(arrays(np.bool_, (cube.height, cube.width))))
+    basis = learn_basis(cube)
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {name: Path(folder) / name for name in ("cube", "clues", "basis")}
+        formats.write_cube(cube, paths["cube"])
+        formats.write_clues(clues, paths["clues"])
+        formats.write_basis(basis, paths["basis"])
+
+        cube_back = formats.read_cube(paths["cube"])
+        assert np.array_equal(cube_back.data, cube.data)
+        assert np.array_equal(cube_back.wavelengths, cube.wavelengths)
+        clues_back = formats.read_clues(paths["clues"])
+        assert np.array_equal(clues_back.mask, clues.mask)
+        assert np.array_equal(clues_back.spectra, clues.spectra)
+        assert np.array_equal(clues_back.wavelengths, clues.wavelengths)
+        basis_back = formats.read_basis(paths["basis"])
+        assert np.array_equal(basis_back.vectors, basis.vectors)
+        assert np.array_equal(basis_back.singular_values, basis.singular_values)
+        assert np.array_equal(basis_back.wavelengths, basis.wavelengths)
+
+        _truncations_raise(paths["cube"], formats.read_cube)
+        _truncations_raise(paths["clues"], formats.read_clues)
+        _truncations_raise(paths["basis"], formats.read_basis)

@@ -178,6 +178,33 @@ class TestGuidedPatterns:
         push_rows = sample_guided_push(guide, 0.2).any(axis=1)
         assert np.array_equal(whisk.any(axis=1), push_rows)
 
+    def test_pinned_row_and_pixel_selection(self):
+        # index lists recorded from the reference implementation: any drift
+        # in the corner or gray-level features moves a row or a pixel
+        guide = textured_guide(40, 40, seed=7)
+        push = sample_guided_push(guide, 0.09, 0.7)
+        assert np.flatnonzero(push.any(axis=1)).tolist() == [0, 13, 22, 31]
+        assert np.array_equal(push.all(axis=1), push.any(axis=1))
+        whisk = sample_guided_whisk(guide, 0.09, 0.7)
+        expected = {
+            0: [0, 5, 8, 10, 13, 15, 17, 18, 20, 22, 24, 26],
+            5: [0, 7, 11, 15, 17, 19, 20, 22, 24, 26, 30, 34],
+            8: [0, 7, 11, 15, 17, 19, 20, 22, 24, 26, 30, 34],
+            12: [0, 7, 10, 13, 16, 18, 20, 22, 23, 26, 29, 32],
+            14: [0, 9, 13, 16, 19, 21, 23, 25, 27, 29, 32, 35],
+            17: [0, 7, 10, 13, 15, 17, 19, 21, 24, 26, 29, 32],
+            20: [0, 7, 10, 13, 15, 17, 19, 21, 23, 25, 28, 32],
+            22: [0, 8, 11, 15, 17, 20, 22, 25, 27, 29, 32, 35],
+            25: [0, 4, 6, 8, 10, 12, 14, 16, 18, 21, 25, 30],
+            28: [0, 3, 6, 9, 11, 13, 15, 17, 20, 24, 27, 31],
+            31: [0, 3, 6, 9, 11, 13, 15, 17, 20, 23, 26, 31],
+            34: [0, 4, 7, 10, 12, 14, 17, 19, 22, 25, 28, 32],
+        }
+        rows = np.flatnonzero(whisk.any(axis=1)).tolist()
+        assert rows == sorted(expected)
+        for row in rows:
+            assert np.flatnonzero(whisk[row]).tolist() == expected[row]
+
     def test_alpha_zero_ignores_corners(self):
         # diversity-only weights depend on gray levels, not corner layout
         guide = np.zeros((60, 60))
