@@ -28,8 +28,10 @@ from .harness import (
     ExperimentConfig,
     _acquire,
     _config_values,
+    _csv_text,
     _plan,
     _resolve_dimension,
+    _run_summary,
     compare_sampling,
     export_plotdata,
     grid_search_dimension,
@@ -38,7 +40,7 @@ from .harness import (
     train_dimension_model,
     write_json,
 )
-from .metrics import MetricReport, evaluate
+from .metrics import CSV_COLUMNS, _metric_cells, evaluate
 from .sampling import build_mask
 from .subspace import (
     estimate_dimension,
@@ -181,6 +183,14 @@ def _config_from_args(args) -> ExperimentConfig:
 def _check_rank(config: ExperimentConfig, bands: int) -> None:
     if config.rank is not None and config.rank > bands:
         raise ConfigError(f"rank {config.rank} exceeds the cube's {bands} bands")
+
+
+def _check_dims(dims, config: ExperimentConfig, bands: int) -> None:
+    """Every candidate dimension lies within the rank the basis will have."""
+    rank = config.rank if config.rank is not None else bands
+    for dim in dims:
+        if not 1 <= dim <= rank:
+            raise ConfigError(f"--dims {dim} must be between 1 and the basis rank {rank}")
 
 
 def _harness_inputs(args) -> tuple[HyperCube, ExperimentConfig]:
@@ -335,25 +345,18 @@ def _cmd_colorize(args) -> int:
         canny_high=args.canny_high,
     )
     formats.write_cube(result.cube, args.out)
-    _print_json({
-        "dimension": result.dimension,
-        "solver_method": result.solver_method,
-        "residual_max": max(result.residuals) if result.residuals else 0.0,
-        "iterations_total": int(sum(result.iterations)),
-        "degenerate_pixels": result.degenerate_pixels,
-    })
+    _print_json({"dimension": result.dimension, **_run_summary(result)})
     return 0
 
 
 def _cmd_metrics(args) -> int:
     truth = formats.read_cube(args.truth)
     recon = formats.read_cube(args.recon)
-    report = evaluate(truth, recon)
+    payload = evaluate(truth, recon).to_dict(args.include_timing)
     if args.format == "csv":
-        print(MetricReport.csv_header())
-        print(report.to_csv_row(args.include_timing))
+        sys.stdout.write(_csv_text(CSV_COLUMNS, [_metric_cells(payload)]))
     else:
-        print(report.to_json(args.include_timing))
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -397,6 +400,7 @@ def _emit_sweep(args, config, result) -> int:
 def _cmd_sweep_dim(args) -> int:
     cube, config = _harness_inputs(args)
     dims = _parse_int_list(args.dims, "--dims")
+    _check_dims(dims, config, cube.bands)
     budgets = _parse_float_list(args.budgets, "--budgets") if args.budgets else None
     return _emit_sweep(args, config, grid_search_dimension(cube, config, dims, budgets))
 
@@ -423,6 +427,8 @@ def _cmd_train_dim_model(args) -> int:
     config = _config_from_args(args)
     budgets = _parse_float_list(args.budgets, "--budgets")
     dims = _parse_int_list(args.dims, "--dims") if args.dims else None
+    for cube in cubes:
+        _check_dims(dims or (), config, cube.bands)
     result = train_dimension_model(cubes, config, budgets, dims)
     write_model(result.model, args.out)
     if args.report:
@@ -440,9 +446,9 @@ def _cmd_export_plotdata(args) -> int:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.report}: invalid JSON ({exc})") from None
+            raise FormatError(f"{args.report}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "rows" not in payload:
-        raise ConfigError(f"{args.report}: not a harness report (missing rows)")
+        raise FormatError(f"{args.report}: not a harness report (missing rows)")
     export_plotdata(payload, args.out, kind=args.kind)
     _print_json({"rows": len(payload["rows"]), "out": args.out})
     return 0

@@ -38,7 +38,10 @@ VISIBLE_RANGE_NM = (400.0, 700.0)
 
 
 def _as_float_array(values, name: str, ndim: int) -> NDArrayF:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not numeric ({exc})") from None
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -25,7 +25,7 @@ import numpy as np
 from .colorizer import _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse, _resolve_response
 from .errors import ConfigError, FormatError, ValidationError
-from .metrics import CSV_COLUMNS, MetricReport, emd_map, evaluate
+from .metrics import CSV_COLUMNS, MetricReport, _metric_cells, emd_map, evaluate
 from .noisesim import NoiseParams, simulate_clues, simulate_guide
 from .sampling import PATTERNS, SamplingPlan, build_mask
 from .subspace import (
@@ -326,10 +326,7 @@ class PipelineResult:
             "guide_time": self.guide_time,
             "dim": self.dimension,
             "basis_rank": self.basis_rank,
-            "solver_method": self.solver_method,
-            "residual_max": max(self.residuals) if self.residuals else 0.0,
-            "iterations_total": int(sum(self.iterations)),
-            "degenerate_pixels": self.degenerate_pixels,
+            **_run_summary(self),
             "metrics": self.metrics.to_dict(include_timing),
             # worker count shapes execution, never results, so rows written
             # under different pool sizes stay byte-identical
@@ -341,6 +338,16 @@ class PipelineResult:
         if self.emd_histogram is not None:
             out["emd_histogram"] = list(self.emd_histogram)
         return out
+
+
+def _run_summary(result) -> dict:
+    """Solver diagnostics of a run or a ``ColorizeResult``, as reported."""
+    return {
+        "solver_method": result.solver_method,
+        "residual_max": max(result.residuals) if result.residuals else 0.0,
+        "iterations_total": int(sum(result.iterations)),
+        "degenerate_pixels": result.degenerate_pixels,
+    }
 
 
 def _acquire(cube: HyperCube, config: ExperimentConfig, response, mask=None):
@@ -800,10 +807,13 @@ def _payload_of(data, include_timing: bool) -> dict:
     raise ValidationError(f"cannot serialize {type(data).__name__} results")
 
 
-_SUMMARY_COLUMNS = ("image", "pattern", "rate", "t_exposure", "dim") + CSV_COLUMNS
 _HISTOGRAM_COLUMNS = ("image", "pattern", "rate", "bin_lo", "bin_hi", "count")
-_DIMS_COLUMNS = ("time_budget", "dim", "best") + CSV_COLUMNS
-_CURVE_COLUMNS = ("dimension", "explained", "log10_explained")
+# kind -> the row columns it picks and whether the metric columns follow
+_ROW_COLUMNS = {
+    "summary": (("image", "pattern", "rate", "t_exposure", "dim"), True),
+    "dims": (("time_budget", "dim", "best"), True),
+    "curve": (("dimension", "explained", "log10_explained"), False),
+}
 
 
 def _csv_cell(value) -> str:
@@ -821,23 +831,19 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _metric_cells(metrics: dict) -> list:
-    # metrics dicts key by report field names; the CSV column for PSNR
-    # drops the unit suffix
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of cells, one line each."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _picked_csv(rows, columns, with_metrics) -> list[list]:
     return [
-        metrics["psnr_db"] if column == "psnr" else metrics[column]
-        for column in CSV_COLUMNS
+        [row.get(column, "") if column == "image" else row[column] for column in columns]
+        + (_metric_cells(row["metrics"]) if with_metrics else [])
+        for row in rows
     ]
-
-
-def _summary_csv(rows) -> list[list]:
-    out = []
-    for row in rows:
-        out.append(
-            [row.get("image", ""), row["pattern"], row["rate"], row["t_exposure"],
-             row["dim"], *_metric_cells(row["metrics"])]
-        )
-    return out
 
 
 def _histogram_csv(rows) -> list[list]:
@@ -858,20 +864,6 @@ def _histogram_csv(rows) -> list[list]:
     return out
 
 
-def _dims_csv(rows) -> list[list]:
-    return [
-        [row["time_budget"], row["dim"], bool(row["best"]),
-         *_metric_cells(row["metrics"])]
-        for row in rows
-    ]
-
-
-def _curve_csv(rows) -> list[list]:
-    return [
-        [row["dimension"], row["explained"], row["log10_explained"]] for row in rows
-    ]
-
-
 def export_plotdata(data, path, kind: str | None = None,
                     include_timing: bool = False) -> None:
     """Write plot-ready tidy CSV for a result object or its JSON payload.
@@ -889,14 +881,12 @@ def export_plotdata(data, path, kind: str | None = None,
         resolved = "summary"
     rows = payload["rows"]
     try:
-        if resolved == "summary":
-            header, body = _SUMMARY_COLUMNS, _summary_csv(rows)
-        elif resolved == "histogram":
+        if resolved == "histogram":
             header, body = _HISTOGRAM_COLUMNS, _histogram_csv(rows)
-        elif resolved == "dims":
-            header, body = _DIMS_COLUMNS, _dims_csv(rows)
-        elif resolved == "curve":
-            header, body = _CURVE_COLUMNS, _curve_csv(rows)
+        elif resolved in _ROW_COLUMNS:
+            columns, with_metrics = _ROW_COLUMNS[resolved]
+            header = columns + (CSV_COLUMNS if with_metrics else ())
+            body = _picked_csv(rows, columns, with_metrics)
         else:
             raise ValidationError(f"unknown plot data kind {resolved!r}")
     except ValidationError:
@@ -905,7 +895,5 @@ def export_plotdata(data, path, kind: str | None = None,
         raise FormatError(
             f"report rows are not {resolved} rows with its columns ({exc!r})"
         ) from None
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in body)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(_csv_text(header, body))

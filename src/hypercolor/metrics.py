@@ -8,7 +8,6 @@ score, and the earth mover's distance between normalized spectra.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,16 +39,6 @@ _MASS_FLOOR = 1e-12
 _BLOCK_PIXELS = 4096
 
 CSV_COLUMNS = ("psnr", "ssim", "gfc", "ssv", "emd", "wall_ms")
-
-# CSV column -> report field (PSNR carries its unit in the field name)
-_CSV_FIELDS = {
-    "psnr": "psnr_db",
-    "ssim": "ssim",
-    "gfc": "gfc",
-    "ssv": "ssv",
-    "emd": "emd",
-    "wall_ms": "wall_ms",
-}
 
 
 # Each public metric validates its pair through _paired_arrays and scores
@@ -271,11 +260,12 @@ def emd_map(truth, recon) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """One reconstruction's scores, serializable to JSON and CSV.
+    """One reconstruction's scores.
 
-    ``wall_ms`` is carried for inspection but serializes as 0.0 unless
-    timing is explicitly included, so written reports stay byte-identical
-    across runs.
+    ``to_dict`` is the one serialized form: JSON reports embed it and CSV
+    rows take their metric cells from it. ``wall_ms`` is carried for
+    inspection but serializes as 0.0 unless timing is explicitly included,
+    so written reports stay byte-identical across runs.
     """
 
     psnr_db: float
@@ -290,52 +280,20 @@ class MetricReport:
             value = float(value)
             return "inf" if math.isinf(value) else value
 
-        out = {field: encode(getattr(self, field)) for field in _CSV_FIELDS.values()}
+        out = {
+            field: encode(getattr(self, field))
+            for field in ("psnr_db", "ssim", "gfc", "ssv", "emd")
+        }
         out["wall_ms"] = float(self.wall_ms) if include_timing else 0.0
         return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
-    def to_csv_row(self, include_timing: bool = False) -> str:
-        payload = self.to_dict(include_timing)
-        return ",".join(
-            _format_csv(payload[_CSV_FIELDS[column]]) for column in CSV_COLUMNS
-        )
+def _metric_cells(metrics: dict) -> list:
+    """A ``to_dict`` payload's values in ``CSV_COLUMNS`` order.
 
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(CSV_COLUMNS)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricReport":
-        missing = [
-            field
-            for field in _CSV_FIELDS.values()
-            if field != "wall_ms" and field not in payload
-        ]
-        if missing:
-            raise ValidationError(f"metric payload missing fields {missing}")
-
-        def decode(value):
-            if value == "inf":
-                return math.inf
-            return float(value)
-
-        return cls(
-            psnr_db=decode(payload["psnr_db"]),
-            ssim=decode(payload["ssim"]),
-            gfc=decode(payload["gfc"]),
-            ssv=decode(payload["ssv"]),
-            emd=decode(payload["emd"]),
-            wall_ms=decode(payload.get("wall_ms", 0.0)),
-        )
-
-
-def _format_csv(value) -> str:
-    if value == "inf":
-        return "inf"
-    return repr(float(value))
+    The CSV column for PSNR drops the unit suffix of its field name.
+    """
+    return [metrics["psnr_db" if column == "psnr" else column] for column in CSV_COLUMNS]
 
 
 def evaluate(truth, recon, wall_ms: float = 0.0) -> MetricReport:

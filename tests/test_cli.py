@@ -10,7 +10,6 @@ import pytest
 
 from hypercolor import (
     HyperCube,
-    MetricReport,
     evaluate,
     formats,
     make_guide,
@@ -528,12 +527,15 @@ class TestMetrics:
             np.clip(truth.data + 0.01, 0.0, None), truth.wavelengths
         )
         formats.write_cube(recon, recon_path)
-        payload = run_json(
+        code, out = run_cli(
             capsys, "metrics", "--truth", str(cube_file), "--recon", str(recon_path)
         )
-        # compare against the library on the same disk-roundtripped data
+        assert code == 0
+        # compare against the library on the same disk-roundtripped data:
+        # one sorted JSON line of the report's dict
         round_tripped = formats.read_cube(recon_path)
-        assert payload == json.loads(evaluate(truth, round_tripped).to_json(False))
+        expected = evaluate(truth, round_tripped).to_dict()
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_csv_format(self, tmp_path, capsys, cube_file):
         code, out = run_cli(
@@ -543,8 +545,9 @@ class TestMetrics:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == MetricReport.csv_header()
+        assert lines[0] == "psnr,ssim,gfc,ssv,emd,wall_ms"
         assert lines[1].startswith("inf,1.0,")
+        assert lines[1].endswith(",0.0") and len(lines) == 2
 
     def test_identical_cubes_report_inf(self, capsys, cube_file):
         payload = run_json(
@@ -716,12 +719,33 @@ class TestSweepCommands:
         code, _ = run_cli(
             capsys, "export-plotdata", str(bad), "--out", str(tmp_path / "x.csv")
         )
-        assert code == 2
+        assert code == 3
         bad.write_text("not json")
         code, _ = run_cli(
             capsys, "export-plotdata", str(bad), "--out", str(tmp_path / "x.csv")
         )
-        assert code == 2
+        assert code == 3
+
+    @pytest.mark.parametrize("dims", ["2,99", "0,2", "2,5"])
+    def test_sweep_dim_outside_the_bands_is_usage_error(self, capsys, cube_file, dims):
+        # the scene has 4 bands
+        assert_error(capsys, 2, "sweep-dim", str(cube_file), "--dims", dims)
+
+    def test_sweep_dim_above_the_config_rank_is_usage_error(
+        self, tmp_path, capsys, cube_file
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rank": 2}))
+        assert_error(capsys, 2, "sweep-dim", str(cube_file), "--dims", "2,3",
+                     "--config", str(config))
+
+    def test_train_dims_outside_the_bands_is_usage_error(
+        self, tmp_path, capsys, cube_file
+    ):
+        assert_error(capsys, 2, "train-dim-model", str(cube_file),
+                     "--budgets", "0.5,1.0", "--dims", "2,99",
+                     "--out", str(tmp_path / "model.json"))
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestEnvScoping:
@@ -778,6 +802,13 @@ class TestMalformedInput:
         np.save(src, np.array([{"bands": 3}], dtype=object), allow_pickle=True)
         assert_error(capsys, 3, "convert", str(src), str(tmp_path / "out.hsc"),
                      "--wavelengths", "400:600")
+
+    def test_string_npy(self, tmp_path, capsys):
+        src = tmp_path / "stack.npy"
+        np.save(src, np.array([[["a", "b", "c"]]]))
+        assert_error(capsys, 3, "convert", str(src), str(tmp_path / "out.hsc"),
+                     "--wavelengths", "400:600")
+        assert not (tmp_path / "out.hsc").exists()
 
     def test_non_numeric_wavelength(self, tmp_path, capsys):
         src = tmp_path / "stack.npy"

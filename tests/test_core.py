@@ -38,6 +38,12 @@ class TestHyperCube:
         with pytest.raises(ValidationError):
             HyperCube(data, wavelengths_for(3))
 
+    def test_rejects_non_numeric_data(self):
+        with pytest.raises(ValidationError, match="not numeric"):
+            HyperCube(np.array([[["a", "b", "c"]]]), wavelengths_for(3))
+        with pytest.raises(ValidationError, match="not numeric"):
+            GuideImage([[0.5, {}]])
+
     def test_rejects_non_increasing_wavelengths(self):
         with pytest.raises(ValidationError):
             HyperCube(np.ones((2, 2, 3)), [400.0, 550.0, 550.0])
