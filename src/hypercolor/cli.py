@@ -186,7 +186,9 @@ def _check_rank(config: ExperimentConfig, bands: int) -> None:
 
 
 def _check_dims(dims, config: ExperimentConfig, bands: int) -> None:
-    """Every candidate dimension lies within the rank the basis will have."""
+    """Candidate dimensions are distinct and within the rank the basis will have."""
+    if len(set(dims)) != len(dims):
+        raise ConfigError(f"--dims lists a candidate dimension twice: {list(dims)}")
     rank = config.rank if config.rank is not None else bands
     for dim in dims:
         if not 1 <= dim <= rank:

@@ -34,6 +34,8 @@ __all__ = [
 MAGIC_CUBE = b"HSC1"
 MAGIC_CLUES = b"HSK1"
 MAGIC_BASIS = b"HSB1"
+# the smallest positive float64, a guide scale's floor
+_SMALLEST_SCALE = float(np.nextafter(0.0, 1.0))
 
 
 def _read_file(path) -> bytes:
@@ -220,7 +222,11 @@ def write_guide(guide: GuideImage, path) -> None:
     """
     values = np.maximum(guide.values, 0.0)
     peak = float(values.max())
-    scale = peak / 65535.0 if peak > 0 else 1.0
+    scale = max(peak / 65535.0, _SMALLEST_SCALE) if peak > 0 else 1.0
+    if peak / scale > 65535.5:
+        # below the normal range the step rounds to a multiple of the
+        # smallest subnormal; round it up so the peak still fits 16 bits
+        scale = float(np.nextafter(scale, np.inf))
     ints = np.clip(np.rint(values / scale), 0, 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{guide.width} {guide.height}\n65535\n".encode("ascii"))

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
@@ -25,7 +26,13 @@ import numpy as np
 from .colorizer import _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse, _resolve_response
 from .errors import ConfigError, FormatError, ValidationError
-from .metrics import CSV_COLUMNS, MetricReport, _metric_cells, emd_map, evaluate
+from .metrics import (
+    CSV_COLUMNS,
+    MetricReport,
+    _evaluate_with_emd_values,
+    _metric_cells,
+    evaluate,
+)
 from .noisesim import NoiseParams, simulate_clues, simulate_guide
 from .sampling import PATTERNS, SamplingPlan, build_mask
 from .subspace import (
@@ -429,6 +436,18 @@ def run_pipeline(
         Acquisition bookkeeping, solver diagnostics, the reconstructed
         cube and mask, and a MetricReport against the ground truth.
     """
+    return _reconstruct(cube, config, basis=basis, model=model, response=response,
+                        label=label)()
+
+
+def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="",
+                 histogram=False):
+    """``run_pipeline``'s first stage: acquire, basis, dimension, colorize.
+
+    Returns the second stage, which scores the reconstruction, as a thunk.
+    With ``histogram`` the scored result carries its per-pixel EMD
+    histogram.
+    """
     start = time.perf_counter()
     resolved = _resolve_response(cube.wavelengths, response)
     guide, mask, clues, guide_time, clue_time = _acquire(cube, config, resolved)
@@ -448,25 +467,36 @@ def run_pipeline(
         tol=config.tol,
         max_iter=config.max_iter,
     )
-    report = evaluate(cube, result.cube, wall_ms=result.wall_ms)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return PipelineResult(
-        config=config,
-        image=label,
-        mask_count=clues.count,
-        clue_time=clue_time,
-        guide_time=guide_time,
-        dimension=dim if dim is not None else working_basis.rank,
-        basis_rank=working_basis.rank,
-        solver_method=result.solver_method,
-        residuals=result.residuals,
-        iterations=result.iterations,
-        degenerate_pixels=result.degenerate_pixels,
-        metrics=report,
-        recon=result.cube,
-        mask=mask,
-        wall_ms=wall_ms,
-    )
+    run = {
+        "config": config,
+        "image": label,
+        "mask_count": clues.count,
+        "clue_time": clue_time,
+        "guide_time": guide_time,
+        "dimension": dim if dim is not None else working_basis.rank,
+        "basis_rank": working_basis.rank,
+        "solver_method": result.solver_method,
+        "residuals": result.residuals,
+        "iterations": result.iterations,
+        "degenerate_pixels": result.degenerate_pixels,
+        "recon": result.cube,
+        "mask": mask,
+    }
+    return partial(_score, cube, run, result.wall_ms, time.perf_counter() - start,
+                   histogram)
+
+
+def _score(cube, run: dict, colorize_ms, seconds, histogram) -> PipelineResult:
+    """``run_pipeline``'s second stage: score a reconstruction, ``seconds`` in."""
+    start = time.perf_counter()
+    report, emd_values = _evaluate_with_emd_values(cube, run["recon"], colorize_ms)
+    counts = None
+    if histogram:
+        finite = emd_values[np.isfinite(emd_values)]
+        counts, _edges = np.histogram(finite, bins=_EMD_HIST_BINS, range=(0.0, 1.0))
+        counts = tuple(int(c) for c in counts)
+    wall_ms = (seconds + time.perf_counter() - start) * 1e3
+    return PipelineResult(**run, metrics=report, emd_histogram=counts, wall_ms=wall_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -535,30 +565,40 @@ def _clue_curve(clues, basis) -> VarianceCurve | None:
     return variance_curve(clues, basis)
 
 
-def _search_one_budget(cube, config, dims, response):
-    """One budget row of the grid: shared clue draw, one solve, all dims."""
+def _solve_budget(cube, config, dims, response):
+    """One budget row's first stage: a shared clue draw and one solve.
+
+    Returns the row's follow-ups: its clue variance curve, then one score
+    per candidate dimension. They share the solution, which is freed once
+    the last of them has run.
+    """
     guide, _mask, clues, _gt, _ct = _acquire(cube, config, response)
     basis = _learn_pipeline_basis(cube, clues, config)
     if max(dims) > basis.rank:
         raise ValidationError(
             f"candidate dimension {max(dims)} exceeds basis rank {basis.rank}"
         )
-    curve = _clue_curve(clues, basis)
-
     solution, _report = _solve_coefficients(
         guide.values, clues, basis, max(dims), apply_edge_filter=config.edge_filter,
         method=config.solver, tol=config.tol, max_iter=config.max_iter,
     )
-    reports = []
-    for dim in dims:
-        recon, _degenerate = _finish(
-            unproject(solution[:, :dim], basis), guide.values, cube.wavelengths,
-            response_guide=response, alpha=config.rescale_alpha,
-        )
-        reports.append(evaluate(cube, recon))
+    score = partial(_score_dimension, cube, config, guide.values, basis, solution,
+                    response)
+    return [partial(_clue_curve, clues, basis)] + [partial(score, dim) for dim in dims]
 
-    best = _best_by_emd(dims, [report.emd for report in reports])
-    return tuple(reports), best, curve
+
+def _score_dimension(cube, config, guide, basis, solution, response, dim):
+    """Finish and score the first ``dim`` coefficient channels of a solve.
+
+    The report's ``wall_ms`` is the time this finish and score took.
+    """
+    start = time.perf_counter()
+    recon, _degenerate = _finish(
+        unproject(solution[:, :dim], basis), guide, cube.wavelengths,
+        response_guide=response, alpha=config.rescale_alpha,
+    )
+    report = evaluate(cube, recon)
+    return replace(report, wall_ms=(time.perf_counter() - start) * 1e3)
 
 
 def grid_search_dimension(
@@ -589,12 +629,12 @@ def grid_search_dimension(
         raise ValidationError("grid search needs at least one budget")
     resolved = _resolve_response(cube.wavelengths, response)
     outcomes = _sweep(
-        lambda run_config: _search_one_budget(cube, run_config, dims, resolved),
+        lambda run_config: _solve_budget(cube, run_config, dims, resolved),
         config, "time_budget", budgets,
     )
-    reports = tuple(outcome[0] for outcome in outcomes)
-    best_dims = tuple(outcome[1] for outcome in outcomes)
-    curves = tuple(outcome[2] for outcome in outcomes)
+    curves = tuple(outcome[0] for outcome in outcomes)
+    reports = tuple(tuple(outcome[1:]) for outcome in outcomes)
+    best_dims = tuple(_best_by_emd(dims, [r.emd for r in row]) for row in reports)
     return DimensionSearchResult(budgets, dims, reports, best_dims, curves)
 
 
@@ -690,26 +730,117 @@ class SweepResult:
         return {"kind": "sweep", "rows": self.to_rows(include_timing)}
 
 
-def _run_many(tasks, workers: int):
-    """Run thunks, preserving submission order regardless of worker count."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+def _run_many(tasks, workers: int) -> list[list]:
+    """Run two-stage tasks; each task's result lists its follow-ups' results.
+
+    A task is a thunk whose first stage returns its follow-up thunks. With
+    one worker each task and its follow-ups run inline, in order. With
+    more, up to ``workers`` threads (the caller among them) share the
+    work: a task's follow-ups join one FIFO queue when its first stage
+    returns, and a free thread starts the next first stage while fewer
+    than ``workers + 1`` tasks are unfinished, otherwise the oldest
+    follow-up. The window bounds the first-stage results held at once.
+    Results keep submission order whatever the worker count; the first
+    exception raised by any stage stops the pool and reaches the caller.
+    """
+    if workers <= 1:
+        return [[follow_up() for follow_up in task()] for task in tasks]
+    results = [None] * len(tasks)
+    unfinished = [0] * len(tasks)
+    started = 0  # first stages taken
+    queue = deque()  # (task index, follow-up slot, thunk)
+    live = 0  # tasks started and not yet finished
+    idle = 0  # threads waiting for a stage
+    helpers = []
+    failure = None
+    changed = threading.Condition()
+
+    def next_stage():
+        """The next (task index, slot or None for a first stage, thunk), or None."""
+        nonlocal started, live, idle
+        while failure is None:
+            if live <= workers and started < len(tasks):
+                stage = (started, None, tasks[started])
+                started += 1
+                live += 1
+            elif queue:
+                stage = queue.popleft()
+            elif not live:
+                return None
+            else:
+                idle += 1
+                changed.wait()
+                idle -= 1
+                continue
+            # as in a thread pool, add a thread only for work no idle one can take
+            more = queue or (live <= workers and started < len(tasks))
+            if more and not idle and len(helpers) < workers - 1:
+                helpers.append(threading.Thread(target=work))
+                helpers[-1].start()
+            return stage
+        return None
+
+    def work():
+        nonlocal live, failure
+        while True:
+            with changed:
+                stage = next_stage()
+            if stage is None:
+                return
+            index, slot, thunk = stage
+            # hold no reference to a finished stage, so a solution its
+            # follow-ups share is freed when the last of them returns
+            del stage
+            try:
+                value = thunk()
+            except BaseException as exc:
+                with changed:
+                    failure = failure or exc
+                    changed.notify_all()
+                return
+            del thunk
+            with changed:
+                if slot is None:
+                    follow_ups = list(value)
+                    results[index] = [None] * len(follow_ups)
+                    unfinished[index] = len(follow_ups)
+                    queue.extend((index, k, f) for k, f in enumerate(follow_ups))
+                    del follow_ups
+                else:
+                    results[index][slot] = value
+                    unfinished[index] -= 1
+                if not unfinished[index]:
+                    live -= 1
+                changed.notify_all()
+            del value
+
+    try:
+        work()
+    except BaseException as exc:  # an interrupt between stages: stop the helpers
+        with changed:
+            failure = failure or exc
+            changed.notify_all()
+        raise
+    finally:
+        # no thread is added once the caller's loop has ended
+        for helper in helpers:
+            helper.join()
+        # next_stage and work refer to each other: unlink them, or the
+        # results stay alive until the next cyclic garbage collection
+        del next_stage
+    if failure is not None:
+        raise failure
+    return results
 
 
-def _sweep(run, config: ExperimentConfig, field: str, values) -> list:
-    """``run(config)`` with ``field`` set to each value, in value order."""
+def _sweep(stage, config: ExperimentConfig, field: str, values) -> list[list]:
+    """``stage(config)`` with ``field`` set to each value, in value order.
+
+    ``stage`` is a first stage for ``_run_many``: it returns follow-ups.
+    """
     configs = [replace(config, **{field: value}) for value in values]
-    return _run_many([partial(run, run_config) for run_config in configs], config.workers)
-
-
-def _attach_emd_histogram(cube, result: PipelineResult) -> PipelineResult:
-    values = emd_map(cube, result.recon)
-    finite = values[np.isfinite(values)]
-    counts, _edges = np.histogram(finite, bins=_EMD_HIST_BINS, range=(0.0, 1.0))
-    return replace(result, emd_histogram=tuple(int(c) for c in counts))
+    return _run_many([partial(stage, run_config) for run_config in configs],
+                     config.workers)
 
 
 def time_budget_sweep(
@@ -733,9 +864,12 @@ def time_budget_sweep(
         raise ValidationError("sweep needs at least one sampling ratio")
     if any(not 0 < r <= 1 for r in ratios):
         raise ValidationError(f"ratios must be in (0, 1], got {ratios}")
-    run = partial(run_pipeline, cube, basis=basis, model=model, label=label)
-    results = _sweep(run, config, "rate", ratios)
-    return SweepResult(tuple(_attach_emd_histogram(cube, r) for r in results))
+    results = _sweep(
+        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
+                                         label=label, histogram=True)],
+        config, "rate", ratios,
+    )
+    return SweepResult(tuple(scored for (scored,) in results))
 
 
 def compare_sampling(
@@ -756,9 +890,12 @@ def compare_sampling(
     patterns = tuple(patterns)
     if not patterns:
         raise ValidationError("comparison needs at least one pattern")
-    run = partial(run_pipeline, cube, basis=basis, model=model, label=label)
-    results = _sweep(run, config, "pattern", patterns)
-    return SweepResult(tuple(results))
+    results = _sweep(
+        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
+                                         label=label)],
+        config, "pattern", patterns,
+    )
+    return SweepResult(tuple(scored for (scored,) in results))
 
 
 # ---------------------------------------------------------------------------

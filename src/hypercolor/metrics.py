@@ -241,7 +241,11 @@ def emd(truth, recon) -> float:
 
 
 def _emd(t, r) -> float:
-    values = _per_pixel(t, r, _emd_block)
+    return _emd_mean(_per_pixel(t, r, _emd_block))
+
+
+def _emd_mean(values) -> float:
+    """Mean of the per-pixel distances, skipped (NaN) pixels left out."""
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         raise ValidationError("EMD found no pixel with usable mass on both sides")
@@ -301,12 +305,19 @@ def evaluate(truth, recon, wall_ms: float = 0.0) -> MetricReport:
 
     The pair is validated once, then scored by each metric in turn.
     """
+    return _evaluate_with_emd_values(truth, recon, wall_ms)[0]
+
+
+def _evaluate_with_emd_values(truth, recon, wall_ms: float = 0.0):
+    """``evaluate``'s report and the flat per-pixel EMD values it averaged."""
     t, r = _paired_arrays(truth, recon)
-    return MetricReport(
+    emd_values = _per_pixel(t, r, _emd_block)
+    report = MetricReport(
         psnr_db=_psnr(t, r),
         ssim=_ssim(t, r),
         gfc=_gfc(t, r),
         ssv=_ssv(t, r),
-        emd=_emd(t, r),
+        emd=_emd_mean(emd_values),
         wall_ms=float(wall_ms),
     )
+    return report, emd_values

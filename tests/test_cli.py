@@ -654,9 +654,18 @@ class TestSweepCommands:
         assert payload["kind"] == "dims"
         assert len(payload["rows"]) == 4
         assert json.loads(out.read_text()) == payload
+        assert all(row["metrics"]["wall_ms"] == 0.0 for row in payload["rows"])
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("time_budget,dim,best,")
         assert len(lines) == 5
+
+    def test_sweep_dim_include_timing_times_each_dimension(self, capsys, cube_file):
+        payload = run_json(
+            capsys,
+            "sweep-dim", str(cube_file), "--dims", "2,3", "--rate", "0.25",
+            "--workers", "2", "--include-timing",
+        )
+        assert all(row["metrics"]["wall_ms"] > 0.0 for row in payload["rows"])
 
     def test_sweep_budget_and_histogram_export(self, tmp_path, capsys, cube_file):
         report = tmp_path / "sweep.json"
@@ -738,6 +747,13 @@ class TestSweepCommands:
         config.write_text(json.dumps({"rank": 2}))
         assert_error(capsys, 2, "sweep-dim", str(cube_file), "--dims", "2,3",
                      "--config", str(config))
+
+    def test_duplicate_dims_are_usage_errors(self, tmp_path, capsys, cube_file):
+        assert_error(capsys, 2, "sweep-dim", str(cube_file), "--dims", "2,2")
+        assert_error(capsys, 2, "train-dim-model", str(cube_file),
+                     "--budgets", "0.5,1.0", "--dims", "3,2,3",
+                     "--out", str(tmp_path / "model.json"))
+        assert not (tmp_path / "model.json").exists()
 
     def test_train_dims_outside_the_bands_is_usage_error(
         self, tmp_path, capsys, cube_file

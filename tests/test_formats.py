@@ -214,6 +214,17 @@ class TestGuideFormat:
         back = read_guide(path)
         assert back.values[0, 1] == pytest.approx(131.07, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "values", [[[1e-320, 5e-321]], [[5e-324]], [[5e-324 * 70_000, 1e-323]]]
+    )
+    def test_subnormal_peak_keeps_a_positive_scale(self, tmp_path, values):
+        path = tmp_path / "g.pgm"
+        write_guide(GuideImage(np.array(values)), path)
+        scale = json.loads((tmp_path / "g.pgm.json").read_text())["scale"]
+        assert 0.0 < scale < np.inf
+        # these values are whole multiples of the scale, so they read back exactly
+        assert np.array_equal(read_guide(path).values, np.array(values))
+
     def test_negative_values_clamp_on_disk(self, tmp_path):
         guide = GuideImage(np.array([[-0.05, 1.0]]))
         path = tmp_path / "g.pgm"

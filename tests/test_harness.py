@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
+import sys
+import threading
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -29,7 +33,7 @@ from hypercolor import (
     train_dimension_model,
     write_json,
 )
-from hypercolor.harness import PipelineResult, _acquire, _best_by_emd
+from hypercolor.harness import PipelineResult, _acquire, _best_by_emd, _run_many
 from hypercolor.noisesim import SpectralResponse
 
 from conftest import random_cube, wavelengths_for
@@ -451,8 +455,11 @@ class TestSweeps:
         assert len(sweep.results) == 2
         for result in sweep.results:
             assert len(result.emd_histogram) == 50
-            finite = np.isfinite(emd_map(cube, result.recon)).sum()
-            assert sum(result.emd_histogram) == finite == 400
+            values = emd_map(cube, result.recon)
+            finite = values[np.isfinite(values)]
+            assert sum(result.emd_histogram) == finite.size == 400
+            counts, _edges = np.histogram(finite, bins=50, range=(0.0, 1.0))
+            assert result.emd_histogram == tuple(int(c) for c in counts)
 
     def test_budget_sweep_re_splits_fixed_budget(self):
         cube = random_cube(20, 20, 5, rank=3, seed=12)
@@ -529,6 +536,212 @@ class TestSweeps:
         assert json.dumps(serial_dict, sort_keys=True) == json.dumps(
             threaded_dict, sort_keys=True
         )
+
+
+    @pytest.mark.parametrize("sweep", ["compare", "ratios", "dims"])
+    def test_written_reports_match_across_worker_counts(self, tmp_path, sweep):
+        cube = random_cube(20, 20, 5, rank=3, seed=15)
+        runs = {
+            "compare": lambda config: compare_sampling(
+                cube, config, ("random", "uniform-push", "guided-whisk")
+            ),
+            "ratios": lambda config: time_budget_sweep(cube, config, (0.1, 0.2, 0.3)),
+            # a single budget: one first stage, its dimensions scored in parallel
+            "dims": lambda config: grid_search_dimension(cube, config, (2, 3, 4, 5)),
+        }
+        written = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"{sweep}-{workers}.json"
+            write_json(runs[sweep](fast_config(workers=workers)), path)
+            written.append(path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_dimension_scores_are_timed(self):
+        cube = random_cube(20, 20, 5, rank=3, seed=15)
+        search = grid_search_dimension(cube, fast_config(workers=2), (2, 3))
+        assert all(report.wall_ms > 0 for row in search.reports for report in row)
+        assert all(row["metrics"]["wall_ms"] > 0 for row in search.rows(True))
+        assert all(row["metrics"]["wall_ms"] == 0.0 for row in search.rows())
+
+
+def _staged(name, log, follow_ups):
+    """A fake two-stage task: logs its stages and returns ``follow_ups``."""
+    def first_stage():
+        log.append(name)
+        return [_logged(f"{name}{k}", log, gate) for k, gate in enumerate(follow_ups)]
+
+    return first_stage
+
+
+def _logged(name, log, gate=None):
+    def follow_up():
+        if gate is not None:
+            assert gate()
+        log.append(name)
+        return name
+
+    return follow_up
+
+
+class TestStagedPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tasks_without_gates_run_in_order(self, workers):
+        log = []
+        tasks = [_staged(name, log, [None] * count)
+                 for name, count in (("a", 2), ("b", 0), ("c", 3))]
+        assert _run_many(tasks, workers) == [["a0", "a1"], [], ["c0", "c1", "c2"]]
+        if workers == 1:
+            assert log == ["a", "a0", "a1", "b", "c", "c0", "c1", "c2"]
+
+    def test_results_keep_submission_order_when_finishing_out_of_order(self):
+        log = []
+        a1_done, b0_done = threading.Event(), threading.Event()
+
+        def a1():
+            log.append("a1")
+            a1_done.set()
+            return "a1"
+
+        def b0():
+            log.append("b0")
+            b0_done.set()
+            return "b0"
+
+        # a0 finishes only after its sibling a1 and the later task's b0
+        a0 = _logged("a0", log, lambda: a1_done.wait(10) and b0_done.wait(10))
+        tasks = [lambda: [a0, a1], lambda: [b0]]
+        assert _run_many(tasks, workers=2) == [["a0", "a1"], ["b0"]]
+        assert log.index("a0") > log.index("a1") and log.index("a0") > log.index("b0")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stage", ["first", "follow-up"])
+    def test_a_failing_stage_raises_its_own_exception(self, workers, stage):
+        def broken():
+            raise ArithmeticError(f"{stage} failed")
+
+        log = []
+        tasks = [_staged(name, log, [None] * 2) for name in "abcde"]
+        if stage == "first":
+            tasks[2] = broken
+        else:
+            tasks[2] = lambda: [_logged("c0", log), broken]
+        with pytest.raises(ArithmeticError, match=f"{stage} failed"):
+            _run_many(tasks, workers)
+
+    def test_a_real_first_stage_failure_reaches_the_caller(self):
+        cube = random_cube(20, 20, 5, rank=3, seed=9)
+        config = fast_config(basis_source="truth", rank=3, workers=2)
+        with pytest.raises(ValidationError, match="exceeds basis rank"):
+            grid_search_dimension(cube, config, (2, 4), budgets=(0.5, 1.0, 2.0))
+
+    def test_at_most_workers_threads_run_pool_work(self):
+        workers = 3
+        lock = threading.Lock()
+        full = threading.Event()
+        threads = set()
+        active = peak = 0
+
+        def stage(result):
+            nonlocal active, peak
+            with lock:
+                threads.add(threading.get_ident())
+                active += 1
+                peak = max(peak, active)
+                if active == workers:
+                    full.set()
+            # hold the first stages until every worker is busy
+            full.wait(10)
+            with lock:
+                active -= 1
+            return result
+
+        def task():
+            return stage([lambda: stage(1) for _ in range(4)])
+
+        results = _run_many([task] * 8, workers)
+        assert results == [[1, 1, 1, 1]] * 8
+        assert peak == workers
+        assert len(threads) == workers
+
+    def test_threads_start_only_for_work_no_idle_thread_can_take(self):
+        baseline = threading.active_count()
+        together = threading.Barrier(3, timeout=10)
+        counts = []
+
+        def task():
+            together.wait()
+            counts.append(threading.active_count())
+            return []
+
+        assert _run_many([task] * 3, workers=16) == [[], [], []]
+        # the caller and two helpers, not fifteen
+        assert max(counts) == baseline + 2
+
+    def test_results_are_freed_without_the_cycle_collector(self):
+        class Payload:
+            pass
+
+        alive = []
+
+        def task():
+            payload = Payload()
+            alive.append(weakref.ref(payload))
+            return [lambda: payload]
+
+        gc.disable()
+        try:
+            results = _run_many([task] * 4, workers=2)
+            assert len(results) == 4
+            del results
+            assert not any(ref() is not None for ref in alive)
+        finally:
+            gc.enable()
+
+    def test_many_workers_and_fast_switching_lose_no_result(self):
+        tasks = [
+            (lambda i=i: [lambda i=i, k=k: (i, k) for k in range(i % 6)])
+            for i in range(60)
+        ]
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: outcome.append(_run_many(tasks, 8)))
+            runner.start()
+            runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome == [[[(i, k) for k in range(i % 6)] for i in range(60)]]
+
+    def test_first_stages_wait_while_workers_plus_one_tasks_are_unfinished(self):
+        workers = 2
+        lock = threading.Lock()
+        unfinished = {}
+        held = peak = 0
+
+        def task(index):
+            def first_stage():
+                nonlocal held, peak
+                with lock:
+                    held += 1
+                    peak = max(peak, held)
+                    unfinished[index] = 3
+                return [follow_up] * 3
+
+            def follow_up():
+                nonlocal held
+                with lock:
+                    unfinished[index] -= 1
+                    if not unfinished[index]:
+                        held -= 1
+                return index
+
+            return first_stage
+
+        results = _run_many([task(index) for index in range(10)], workers)
+        assert results == [[index] * 3 for index in range(10)]
+        assert peak <= workers + 1
 
 
 class TestWriteJson:
