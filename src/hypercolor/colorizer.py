@@ -59,6 +59,10 @@ _DEGENERATE_DENOMINATOR = 1e-12
 _EDGE_BLUR_SIZE = 31
 _EDGE_BLUR_SIGMA = np.sqrt(11.0)
 _CLUE_WINDOW = 21
+# the stencil in the row order of a CSC column, None for the diagonal:
+# column j holds plane k's entry on row j - offset_k, and the flat
+# offsets of NEIGHBOR_OFFSETS ascend with k
+_COLUMN_ORDER = (7, 6, 5, 4, None, 3, 2, 1, 0)
 # LU fill of the grid system: nonzeros ~ _FACTOR_FILL * n * log2(n)
 _FACTOR_FILL = 6.0
 _FACTOR_BYTES_PER_NONZERO = 16
@@ -262,14 +266,34 @@ def _shift_slices(height, width, drow, dcol, invert):
 class AffinitySystem:
     """Sparse propagation system with its right-hand sides.
 
-    ``matrix`` is pixel-count square: diagonal 2 at clue pixels and 1
-    elsewhere, off-diagonals the negated normalized affinities (each row's
-    off-diagonal entries sum to -1). ``rhs`` is (pixel count, channels),
-    nonzero only on clue rows.
+    ``matrix`` is pixel-count square, held in CSC with the row indices of
+    every column sorted, so a direct solve factors it without a copy:
+    diagonal 2 at clue pixels and 1 elsewhere, off-diagonals the negated
+    normalized affinities (each row's off-diagonal entries sum to -1).
+    The right-hand sides are zero off the clue rows and are kept compact:
+    ``clue_rows`` holds the flat indices of the clue pixels, ascending,
+    and ``clue_values`` their (clue count, channels) values. ``rhs``
+    expands them into a read-only dense (pixel count, channels) array,
+    built anew on each access.
     """
 
-    matrix: sparse.csr_matrix
-    rhs: np.ndarray
+    matrix: sparse.csc_matrix
+    clue_rows: np.ndarray
+    clue_values: np.ndarray
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """Dense (pixel count, channels) right-hand sides, read-only."""
+        dense = self._dense(slice(None))
+        dense.flags.writeable = False
+        return dense
+
+    def _dense(self, channels, order="C") -> np.ndarray:
+        """Dense right-hand sides of the selected channels."""
+        values = self.clue_values[:, channels]
+        dense = np.zeros((self.matrix.shape[0], values.shape[1]), order=order)
+        dense[self.clue_rows] = values
+        return dense
 
 
 def build_system(guide, clues: ClueSet) -> AffinitySystem:
@@ -290,35 +314,33 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
 
     weights = affinity_weights(values)
     total = height * width
-    index = np.arange(total).reshape(height, width)
+    diagonal = np.full((height, width), _PLAIN_DIAGONAL)
+    diagonal[clues.mask] = _CLUE_DIAGONAL
 
-    row_chunks = []
-    col_chunks = []
-    val_chunks = []
-    for plane, (drow, dcol) in enumerate(NEIGHBOR_OFFSETS):
+    # a column holds the pixel and its in-bounds 8-neighbors: one entry
+    # per pair of rows and pair of columns at most one apart
+    nnz = (3 * height - 2) * (3 * width - 2)
+    index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(total + 1, dtype=index_dtype)
+    indptr[1:] = np.cumsum(window_count((height, width), 3))
+    # next free position in each column, filled one stencil entry at a time
+    cursor = indptr[:-1].reshape(height, width).copy()
+    index = np.arange(total, dtype=index_dtype).reshape(height, width)
+
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+    for plane in _COLUMN_ORDER:
+        drow, dcol = (0, 0) if plane is None else NEIGHBOR_OFFSETS[plane]
         center = _shift_slices(height, width, drow, dcol, invert=False)
-        neighbor = _shift_slices(height, width, drow, dcol, invert=True)
-        row_chunks.append(index[center].ravel())
-        col_chunks.append(index[neighbor].ravel())
-        val_chunks.append(-weights[plane][center].ravel())
+        column = _shift_slices(height, width, drow, dcol, invert=True)
+        slots = cursor[column]
+        indices[slots] = index[center]
+        data[slots] = diagonal if plane is None else -weights[plane][center]
+        cursor[column] += 1
 
-    diagonal = np.full(total, _PLAIN_DIAGONAL)
-    diagonal[clues.mask.ravel()] = _CLUE_DIAGONAL
-    row_chunks.append(np.arange(total))
-    col_chunks.append(np.arange(total))
-    val_chunks.append(diagonal)
-
-    matrix = sparse.coo_matrix(
-        (
-            np.concatenate(val_chunks),
-            (np.concatenate(row_chunks), np.concatenate(col_chunks)),
-        ),
-        shape=(total, total),
-    ).tocsr()
-
-    rhs = np.zeros((total, clues.bands), dtype=np.float64)
-    rhs[np.flatnonzero(clues.mask.ravel())] = clues.spectra
-    return AffinitySystem(matrix, rhs)
+    matrix = sparse.csc_matrix((data, indices, indptr), shape=(total, total))
+    rows = np.flatnonzero(clues.mask)
+    return AffinitySystem(matrix, rows, np.array(clues.spectra, order="C"))
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +431,49 @@ def _factor_room(factor_bytes: int):
             _FACTOR_ROOM.notify_all()
 
 
-def _direct_solve_into(solution, matrix, rhs, channels, factor_bytes) -> None:
-    """Factor ``matrix`` once and solve the given channels into ``solution``,
-    ``_SOLVE_BLOCK`` channels per triangular solve."""
+def _direct_solve_into(solution, system, channels, factor_bytes) -> None:
+    """Factor the system's matrix once and solve the given channels into
+    ``solution``, ``_SOLVE_BLOCK`` channels per triangular solve."""
     with _factor_room(factor_bytes):
         # every row is diagonally dominant (clue rows strictly), so the
         # factorization needs no pivoting and keeps the symmetric ordering
         factor = sparse_linalg.splu(
-            matrix.tocsc(),
+            system.matrix,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         for start in range(0, len(channels), _SOLVE_BLOCK):
             block = channels[start : start + _SOLVE_BLOCK]
-            solution[:, block] = factor.solve(rhs[:, block])
+            solution[:, block] = factor.solve(system._dense(block, order="F"))
         del factor
         # freeing the factor's multi-MB buffers raises glibc's dynamic mmap
         # threshold, and later cube-sized arrays then stay resident in the
         # per-thread arenas; hand the freed pages back instead
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
+
+
+def _channel_norms(system: AffinitySystem) -> np.ndarray:
+    """2-norm of each channel's right-hand side.
+
+    numpy sums several columns row by row, so the zero rows off the clues
+    drop out and the compact values give the dense sums bit for bit. A
+    lone column is summed pairwise over every row instead, which the zeros
+    regroup, so it is taken densely.
+    """
+    if system.clue_values.shape[1] == 1:
+        return np.linalg.norm(system.rhs, axis=0)
+    return np.linalg.norm(system.clue_values, axis=0)
+
+
+def _gap_norms(system: AffinitySystem, solution, channels) -> np.ndarray:
+    """2-norm of matrix @ x - b for the given channels of ``solution``."""
+    # the product reads its operand row-major, so the block is copied in
+    # that order
+    gaps = system.matrix @ np.ascontiguousarray(solution[:, channels])
+    gaps[system.clue_rows] -= system.clue_values[:, channels]
+    return np.linalg.norm(gaps, axis=0)
 
 
 def solve(
@@ -439,6 +483,12 @@ def solve(
     max_iter: int = 10_000,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve every channel of the system against its shared matrix.
+
+    Right-hand sides are expanded from the system's compact clue values
+    one block at a time, never for every channel at once, and the CSC
+    matrix is factored as it is. Outside the LU factor, the direct path
+    holds the solution plus two (pixel count, 8) blocks; the iterative
+    path the solution plus a few single columns.
 
     Parameters
     ----------
@@ -477,23 +527,21 @@ def solve(
     matrix = system.matrix
     method, factor_bytes, reason = _choose_method(method, matrix.shape[0])
 
-    rhs = system.rhs
-    channels = rhs.shape[1]
-    solution = np.zeros(rhs.shape, order="F")
-    norms = np.linalg.norm(rhs, axis=0)
+    channels = system.clue_values.shape[1]
+    solution = np.zeros((matrix.shape[0], channels), order="F")
+    norms = _channel_norms(system)
     active = [channel for channel in range(channels) if norms[channel] != 0]
     residuals = [0.0] * channels
     iterations = [0] * channels
 
     if method == "direct":
-        _direct_solve_into(solution, matrix, rhs, active, factor_bytes)
+        _direct_solve_into(solution, system, active, factor_bytes)
         # one sparse-times-dense product per block of channels; one product
         # over every channel holds cube-sized temporaries, which raised the
         # peak RSS of a two-thread 128x128 sweep by about 7%
         for start in range(0, len(active), _SOLVE_BLOCK):
             block = active[start : start + _SOLVE_BLOCK]
-            gaps = np.linalg.norm(matrix @ solution[:, block] - rhs[:, block], axis=0)
-            for channel, gap in zip(block, gaps):
+            for channel, gap in zip(block, _gap_norms(system, solution, block)):
                 residual = float(gap / norms[channel])
                 if not np.isfinite(residual) or residual > tol:
                     raise SolverError(
@@ -508,7 +556,7 @@ def solve(
 
     preconditioner = sparse.diags(1.0 / matrix.diagonal())
     for channel in active:
-        b = rhs[:, channel]
+        b = system._dense([channel])[:, 0]
         count = {"n": 0}
 
         def _tick(_xk):

@@ -556,6 +556,11 @@ class TestMetrics:
         assert payload["psnr_db"] == "inf"
         assert payload["ssim"] == 1.0
 
+    def test_include_timing_times_the_scores(self, capsys, cube_file):
+        args = ("metrics", "--truth", str(cube_file), "--recon", str(cube_file))
+        assert run_json(capsys, *args, "--include-timing")["wall_ms"] > 0.0
+        assert run_json(capsys, *args)["wall_ms"] == 0.0
+
 
 class TestPipeline:
     def test_happy_path_with_artifacts(self, tmp_path, capsys, cube_file):

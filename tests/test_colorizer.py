@@ -1,10 +1,11 @@
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, sparse
 from scipy.sparse.linalg import splu
 
 from conftest import (
@@ -57,6 +58,40 @@ def clues_of(values_shape, mask, spectra, bands=None):
     spectra = np.asarray(spectra, dtype=np.float64)
     bands = spectra.shape[1] if bands is None else bands
     return ClueSet(height, width, wavelengths_for(bands), mask, spectra)
+
+
+def coo_matrix_of(guide, mask):
+    """Reference system matrix from one COO triplet per pixel and neighbor."""
+    height, width = guide.shape
+    weights = affinity_weights(guide)
+    rows, cols, values = [], [], []
+    for row in range(height):
+        for col in range(width):
+            pixel = row * width + col
+            rows.append(pixel)
+            cols.append(pixel)
+            values.append(2.0 if mask[row, col] else 1.0)
+            for plane, (drow, dcol) in enumerate(NEIGHBOR_OFFSETS):
+                if 0 <= row + drow < height and 0 <= col + dcol < width:
+                    rows.append(pixel)
+                    cols.append((row + drow) * width + col + dcol)
+                    values.append(-weights[plane, row, col])
+    total = height * width
+    return sparse.coo_matrix((values, (rows, cols)), shape=(total, total))
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes Python and numpy allocated during it.
+
+    tracemalloc sees numpy buffers but not the C allocations of SuperLU,
+    so an LU factor does not count.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAffinityWeights:
@@ -147,6 +182,53 @@ class TestBuildSystem:
         system = build_system(guide, clues)
         row_sums = np.asarray(system.matrix @ np.ones(12 * 9))
         assert np.allclose(row_sums, mask.ravel().astype(float), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 6), (5, 1), (2, 2), (2, 5), (3, 3), (13, 8)]
+    )
+    def test_matrix_is_the_canonical_csc_of_the_stencil(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        guide = rng.random(shape)
+        mask = scatter_mask(*shape, 0.2, seed=3)
+        system = build_system(guide, clues_of(shape, mask, np.ones((mask.sum(), 1))))
+        expected = coo_matrix_of(guide, mask).tocsc()
+        matrix = system.matrix
+        assert matrix.format == "csc" and matrix.has_canonical_format
+        # a direct solve hands the matrix to splu, whose tocsc is then free
+        assert matrix.tocsc() is matrix
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_csc_products_match_csr_bit_for_bit(self):
+        # residuals and BiCGStab iteration counts stay byte-identical to a
+        # CSR system only while the products do
+        rng = np.random.default_rng(21)
+        mask = scatter_mask(37, 29, 0.05, seed=22)
+        system = build_system(
+            rng.random((37, 29)), clues_of((37, 29), mask, rng.random((mask.sum(), 2)))
+        )
+        csr = system.matrix.tocsr()
+        block = np.asfortranarray(rng.standard_normal((37 * 29, 8)))
+        vector = rng.standard_normal(37 * 29)
+        for operand in (block, vector):
+            assert (system.matrix @ operand).tobytes() == (csr @ operand).tobytes()
+
+    def test_right_hand_side_stays_compact(self):
+        rng = np.random.default_rng(23)
+        mask = scatter_mask(96, 96, 0.04, seed=24)
+        clues = clues_of((96, 96), mask, rng.random((mask.sum(), 31)))
+        guide = rng.random((96, 96))
+        system, peak = traced_peak(lambda: build_system(guide, clues))
+        # a dense (pixels, channels) right-hand side alone would fill this
+        assert peak < 96 * 96 * 31 * 8
+        assert system.clue_values.shape == (mask.sum(), 31)
+        assert np.array_equal(system.clue_rows, np.flatnonzero(mask))
+        dense = system.rhs
+        assert not dense.flags.writeable
+        assert np.array_equal(dense[mask.ravel()], clues.spectra)
+        assert not dense[~mask.ravel()].any()
 
     def test_requires_a_clue(self):
         clues = ClueSet(4, 4, wavelengths_for(2), np.zeros((4, 4), dtype=bool),
@@ -293,7 +375,7 @@ class TestSolve:
     def test_blocked_direct_solve_skips_interleaved_zero_channels(self):
         system = self.random_system(height=24, width=24, bands=19, seed=14)
         zero = [0, 3, 8, 9, 17]
-        system.rhs[:, zero] = 0.0
+        system.clue_values[:, zero] = 0.0
         solution, report = solve(system, method="direct")
         active = [c for c in range(19) if c not in zero]
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs[:, active])
@@ -305,6 +387,15 @@ class TestSolve:
             else:
                 assert 0.0 < report.residuals[channel] <= 1e-7
             assert report.iterations[channel] == 0
+
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    def test_solve_holds_no_matrix_copy_or_dense_right_hand_side(self, method):
+        system = self.random_system(height=96, width=96, bands=31, seed=15)
+        (solution, _), peak = traced_peak(lambda: solve(system, method=method))
+        # the solution plus three (pixels, 8) blocks; a dense right-hand
+        # side of 31 channels would take nearly four blocks on its own
+        block = 96 * 96 * 8 * 8
+        assert peak <= solution.nbytes + 3 * block
 
     def test_unreachable_tolerance_raises_with_residual(self):
         system = self.random_system(height=48, width=48, seed=10)

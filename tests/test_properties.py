@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -142,14 +143,21 @@ def test_mask_files_round_trip(mask):
         lambda shape: arrays(np.float64, shape, elements=st.floats(-10.0, 1000.0))
     )
 )
+# a subnormal peak whose step peak / 65535 rounds below what 16 bits hold
+@example(values=np.array([[5e-324 * 65537]]))
 def test_guide_files_quantize_within_half_a_step_and_rewrite_exactly(values):
     clamped = np.maximum(values, 0.0)
     peak = float(clamped.max())
-    step = peak / 65535.0 if peak > 0 else 1.0
     with tempfile.TemporaryDirectory() as folder:
         first, second = Path(folder) / "a.pgm", Path(folder) / "b.pgm"
         formats.write_guide(GuideImage(values), first)
         back = formats.read_guide(first)
+        # the step is the scale the sidecar records: peak / 65535 (1.0 for
+        # an all-zero guide), except where that step is subnormal and
+        # rounds to a multiple of the smallest subnormal
+        step = json.loads(Path(folder, "a.pgm.json").read_text())["scale"]
+        if peak == 0 or peak / 65535.0 >= np.finfo(np.float64).tiny:
+            assert step == (peak / 65535.0 if peak > 0 else 1.0)
         assert np.all(np.abs(back.values - clamped) <= 0.5 * step * (1 + 1e-9))
         formats.write_guide(back, second)
         assert second.read_bytes() == first.read_bytes()
