@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._filters import gaussian_kernel_1d
 from .core import HyperCube
@@ -34,6 +33,13 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_SSIM_BLOCK_BANDS = 8
+# bytes of one stacked tile of the four maps: small enough that a blur
+# step's operands stay in a core's L2 cache, large enough that numpy's
+# per-call cost stays small beside the arithmetic
+_SSIM_TILE_BYTES = 384 * 1024
+# tiles per window of formed input rows; each refill copies the halo rows
+_SSIM_WINDOW_TILES = 4
 _MASS_FLOOR = 1e-12
 # pixels per block of the per-pixel spectral metrics
 _BLOCK_PIXELS = 4096
@@ -93,6 +99,16 @@ def ssim(truth, recon) -> float:
     The window is a unit-sum Gaussian with sigma 1.5; only windows fully
     inside the image count, and the dynamic range constant comes from the
     truth peak. 3-d inputs are averaged band by band.
+
+    Each band's local means and second moments come from four separable
+    blurs: of the truth, of the reconstruction, of ``a*a + b*b`` (the
+    variance denominator needs only the sum) and of ``a*b``. The blurs run
+    in blocks of 8 bands over row tiles of the band-last arrays, one
+    vectorized shift-and-add per tap, and evaluate only the valid windows.
+    They add the taps in the order ``scipy.ndimage.correlate1d`` does, rows
+    first and then columns, and each band's map is averaged in the order of
+    a full-size map's interior view, so the score equals that four-blur
+    ``correlate1d`` formula bit for bit.
     """
     return _ssim(*_paired_arrays(truth, recon))
 
@@ -103,7 +119,6 @@ def _ssim(t, r) -> float:
         r = r[:, :, None]
     elif t.ndim != 3:
         raise ValidationError(f"ssim expects 2-d or 3-d arrays, got shape {t.shape}")
-    margin = _SSIM_WINDOW // 2
     if t.shape[0] < _SSIM_WINDOW or t.shape[1] < _SSIM_WINDOW:
         raise ValidationError(
             f"ssim needs spatial extent of at least {_SSIM_WINDOW}, got {t.shape[:2]}"
@@ -113,31 +128,102 @@ def _ssim(t, r) -> float:
         raise ValidationError("SSIM needs a positive truth peak")
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
-    kernel = gaussian_kernel_1d(_SSIM_SIGMA, margin)
-
-    def blur(image):
-        out = ndimage.correlate1d(image, kernel, axis=0, mode="constant")
-        return ndimage.correlate1d(out, kernel, axis=1, mode="constant")
-
+    kernel = gaussian_kernel_1d(_SSIM_SIGMA, _SSIM_WINDOW // 2)
     scores = []
-    for band in range(t.shape[2]):
-        a = t[:, :, band]
-        b = r[:, :, band]
-        mu_a = blur(a)
-        mu_b = blur(b)
-        mu_aa = mu_a * mu_a
-        mu_bb = mu_b * mu_b
-        mu_ab = mu_a * mu_b
-        # the denominator needs only var_a + var_b, so one blur of the
-        # summed squares stands in for a blur of each
-        var_sum = blur(a * a + b * b) - mu_aa - mu_bb
-        cov = blur(a * b) - mu_ab
-        ssim_map = ((2 * mu_ab + c1) * (2 * cov + c2)) / (
-            (mu_aa + mu_bb + c1) * (var_sum + c2)
-        )
-        valid = ssim_map[margin:-margin, margin:-margin]
-        scores.append(float(valid.mean()))
+    for start in range(0, t.shape[2], _SSIM_BLOCK_BANDS):
+        block = slice(start, start + _SSIM_BLOCK_BANDS)
+        scores.extend(_ssim_band_means(t[:, :, block], r[:, :, block], kernel, c1, c2))
     return float(np.mean(scores))
+
+
+def _ssim_band_means(t, r, kernel, c1, c2) -> list:
+    """Mean SSIM of each band of a band-last ``(H, W, bands)`` pair.
+
+    The four maps of a tile of output rows and its halo sit stacked in one
+    array, so each blur step is one numpy call for all of them. The maps
+    of each input row are formed once: a window holds several tiles, and
+    when it is full its last halo rows move to its top.
+    """
+    margin = kernel.size // 2
+    halo = 2 * margin
+    height, width, bands = t.shape
+    valid_h, valid_w = height - halo, width - halo
+    rows = max(1, min(valid_h, _SSIM_TILE_BYTES // (4 * width * bands * 8)))
+    span = min(valid_h, max(_SSIM_WINDOW_TILES * rows, halo))
+    window = np.empty((4, span + halo, width, bands))
+    down = np.empty((4, rows, width, bands))
+    moments = np.empty((4, rows, valid_w, bands))
+    scratch = np.empty(down.size)
+    # numpy sums a contiguous array in one pairwise pass but a row-strided
+    # view row by row; a spare column per row keeps each band's map the
+    # row-strided view that a full-size map's interior is
+    maps = np.empty((bands, valid_h, valid_w + 1))
+    _ssim_inputs(t[:halo], r[:halo], window[:, :halo])
+    start = 0  # the output row whose window begins at window row 0
+    for top in range(0, valid_h, rows):
+        n = min(rows, valid_h - top)
+        if top + n > start + span:
+            window[:, :halo] = window[:, top - start : top - start + halo]
+            start = top
+        at = top - start
+        fresh = slice(top + halo, top + halo + n)
+        _ssim_inputs(t[fresh], r[fresh], window[:, at + halo : at + halo + n])
+        along_rows = _blur_valid(window[:, at : at + halo + n], down[:, :n], scratch, kernel, 1)
+        mu_a, mu_b, sum_sq, cross = _blur_valid(along_rows, moments[:, :n], scratch, kernel, 2)
+        mu_aa, mu_bb = scratch[: 2 * mu_a.size].reshape((2,) + mu_a.shape)
+        np.multiply(mu_a, mu_a, out=mu_aa)
+        np.multiply(mu_b, mu_b, out=mu_bb)
+        mu_ab = np.multiply(mu_a, mu_b, out=mu_b)
+        var_sum = np.subtract(sum_sq, mu_aa, out=sum_sq)
+        np.subtract(var_sum, mu_bb, out=var_sum)
+        cov = np.subtract(cross, mu_ab, out=cross)
+        # (mu_aa + mu_bb + c1) * (var_sum + c2)
+        denom = np.add(mu_aa, mu_bb, out=mu_a)
+        np.add(denom, c1, out=denom)
+        np.add(var_sum, c2, out=var_sum)
+        np.multiply(denom, var_sum, out=denom)
+        # (2 * mu_ab + c1) * (2 * cov + c2)
+        numer = np.multiply(mu_ab, 2, out=mu_ab)
+        np.add(numer, c1, out=numer)
+        np.multiply(cov, 2, out=cov)
+        np.add(cov, c2, out=cov)
+        np.multiply(numer, cov, out=numer)
+        np.divide(numer, denom, out=maps[:, top : top + n, :valid_w].transpose(1, 2, 0))
+    return [float(maps[band, :, :valid_w].mean()) for band in range(bands)]
+
+
+def _ssim_inputs(a, b, out):
+    """Stack ``a``, ``b``, ``a*a + b*b`` and ``a*b`` into ``out``."""
+    out[0] = a
+    out[1] = b
+    np.multiply(out[:2], out[:2], out=out[2:])
+    np.add(out[2], out[3], out=out[2])
+    np.multiply(out[0], out[1], out=out[3])
+
+
+def _blur_valid(src, out, scratch, kernel, axis):
+    """``correlate1d`` of ``src`` along ``axis`` with a symmetric kernel,
+    at the positions whose window lies inside ``src``.
+
+    Like ``scipy.ndimage.correlate1d``, each output is the centre tap's
+    product plus ``(x[i - j] + x[i + j]) * w[j]`` for j from the kernel
+    radius down to 1, so the valid part equals its result bit for bit.
+    ``scratch`` is a flat buffer of at least ``out.size`` elements.
+    """
+    margin = kernel.size // 2
+    n = out.shape[axis]
+    scratch = scratch[: out.size].reshape(out.shape)
+    lead = (slice(None),) * axis
+
+    def tap(offset):
+        return src[lead + (slice(margin + offset, margin + offset + n),)]
+
+    np.multiply(tap(0), kernel[margin], out=out)
+    for j in range(margin, 0, -1):
+        np.add(tap(-j), tap(j), out=scratch)
+        np.multiply(scratch, kernel[margin - j], out=scratch)
+        np.add(out, scratch, out=out)
+    return out
 
 
 def _per_pixel(t, r, score) -> np.ndarray:

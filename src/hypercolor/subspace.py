@@ -396,10 +396,15 @@ def estimate_dimension(
     clues: ClueSet, basis: SpectralBasis, model: DimensionModel | None = None
 ) -> tuple[int, VarianceCurve]:
     """Variance curve plus the dimension it points to: the model's
-    prediction, or the curve's elbow when no model is given."""
+    prediction, or the curve's elbow when no model is given.
+
+    A model trained on cubes with more bands can predict past this basis,
+    so its prediction is capped at the curve's dimension count.
+    """
     curve = variance_curve(clues, basis)
-    dim = curve.elbow_index if model is None else model.predict(curve)
-    return dim, curve
+    if model is None:
+        return curve.elbow_index, curve
+    return min(model.predict(curve), curve.dimensions), curve
 
 
 # ---------------------------------------------------------------------------

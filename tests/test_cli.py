@@ -89,6 +89,18 @@ def deep_clue_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def wide_model_file(tmp_path):
+    """A model trained on 31-band cubes that predicts 20 whatever the curve."""
+    fields = ("elbow", "log_min_variance", "elbow_sq", "log_min_variance_sq",
+              "elbow_x_log_min_variance")
+    payload = {name: 0.0 for name in fields}
+    payload.update(intercept=20.0, clamp_min=2, clamp_max=31)
+    path = tmp_path / "wide-model.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestConvert:
     def test_npy_to_cube(self, tmp_path, capsys):
         data = np.random.default_rng(0).random((5, 6, 3))
@@ -419,6 +431,20 @@ class TestBasis:
         # the scene is rank 3, so the elbow should land there
         assert top["dimension"] == 3
 
+    def test_model_prediction_is_capped_at_the_basis(
+        self, tmp_path, capsys, deep_cube_file, deep_clue_file, wide_model_file
+    ):
+        basis_path = tmp_path / "basis.hsb"
+        run_json(
+            capsys, "basis", "learn", str(deep_cube_file), "--out", str(basis_path)
+        )
+        payload = run_json(
+            capsys,
+            "estimate-dim", "--clues", str(deep_clue_file), "--basis", str(basis_path),
+            "--model", str(wide_model_file),
+        )
+        assert payload["dimension"] == 6
+
 
 class TestColorize:
     def _artifacts(self, tmp_path, capsys, cube_file, rate="0.25"):
@@ -618,6 +644,13 @@ class TestPipeline:
         row = run_json(capsys, "pipeline", str(cube_file), "--rate", "0.25",
                        "--dim", "2")
         assert row["dim"] == 2
+
+    def test_auto_dim_model_prediction_is_capped_at_the_bands(
+        self, capsys, deep_cube_file, wide_model_file
+    ):
+        row = run_json(capsys, "pipeline", str(deep_cube_file), "--rate", "0.25",
+                       "--dim", "auto", "--model", str(wide_model_file))
+        assert row["dim"] == 6
 
     def test_reports_byte_identical_across_worker_counts(
         self, tmp_path, capsys, cube_file

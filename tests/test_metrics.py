@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.stats import wasserstein_distance
 
@@ -20,6 +23,7 @@ from hypercolor import (
     ssv,
 )
 from hypercolor import metrics
+from hypercolor._filters import gaussian_kernel_1d
 from hypercolor.harness import _csv_text
 
 
@@ -77,6 +81,45 @@ def ssim_five_blur(truth, recon):
         )
         scores.append(ssim_map[5:-5, 5:-5].mean())
     return float(np.mean(scores))
+
+
+def ssim_four_blur(truth, recon):
+    """SSIM from four separable ndimage blurs per band: of the truth, the
+    reconstruction, the summed squares and the cross product. ``ssim``
+    must equal it bit for bit."""
+    taps = np.exp(-(np.arange(-5.0, 6.0) ** 2) / (2.0 * 1.5 * 1.5))
+    taps /= taps.sum()
+
+    def blur(image):
+        out = ndimage.correlate1d(image, taps, axis=0, mode="constant")
+        return ndimage.correlate1d(out, taps, axis=1, mode="constant")
+
+    if truth.ndim == 2:
+        truth, recon = truth[:, :, None], recon[:, :, None]
+    peak = float(truth.max())
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    scores = []
+    for band in range(truth.shape[2]):
+        a, b = truth[:, :, band], recon[:, :, band]
+        mu_a, mu_b = blur(a), blur(b)
+        mu_aa, mu_bb, mu_ab = mu_a * mu_a, mu_b * mu_b, mu_a * mu_b
+        var_sum = blur(a * a + b * b) - mu_aa - mu_bb
+        cov = blur(a * b) - mu_ab
+        ssim_map = ((2 * mu_ab + c1) * (2 * cov + c2)) / (
+            (mu_aa + mu_bb + c1) * (var_sum + c2)
+        )
+        scores.append(float(ssim_map[5:-5, 5:-5].mean()))
+    return float(np.mean(scores))
+
+
+def ssim_pair(shape, seed, exponent=0, noise=0.1):
+    """A nonnegative truth of magnitude 10**exponent and a noisy copy."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    truth = rng.random(shape) * scale
+    recon = np.clip(truth + rng.normal(0.0, noise * scale, shape), 0.0, None)
+    return truth, recon
 
 
 class TestPsnr:
@@ -137,6 +180,58 @@ class TestSsim:
         assert ssim(truth, recon) == pytest.approx(
             ssim_five_blur(truth, recon), rel=0, abs=1e-12
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(11, 70),
+        width=st.integers(11, 70),
+        bands=st.one_of(st.none(), st.integers(1, 33)),
+        exponent=st.integers(-6, 6),
+        noise=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_four_blur_formula_bit_for_bit(
+        self, height, width, bands, exponent, noise, seed
+    ):
+        shape = (height, width) if bands is None else (height, width, bands)
+        truth, recon = ssim_pair(shape, seed, exponent, noise)
+        assert ssim(truth, recon) == ssim_four_blur(truth, recon)
+
+    # Thin images have one valid window row or column, or a single window.
+    # On maps of more than a few thousand pixels, numpy can sum a
+    # contiguous map in another order than a row-strided one.
+    @pytest.mark.parametrize(
+        "shape",
+        [(11, 11), (11, 40), (40, 11), (11, 11, 3), (11, 26, 9), (26, 11, 9),
+         (11, 11, 33)] + [(256, width) for width in range(200, 208)],
+    )
+    def test_pinned_pairs_equal_four_blur_formula(self, shape):
+        truth, recon = ssim_pair(shape, seed=sum(shape))
+        assert ssim(truth, recon) == ssim_four_blur(truth, recon)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
+    def test_blur_pass_equals_correlate1d_interior(self, axis):
+        rng = np.random.default_rng(axis)
+        magnitudes = 10.0 ** rng.integers(-6, 7, size=(1, 1, 19, 1))
+        src = rng.random((12, 23, 19, 13)) * magnitudes
+        kernel = gaussian_kernel_1d(1.5, 5)
+        shape = list(src.shape)
+        shape[axis] -= 10
+        out = np.empty(shape)
+        metrics._blur_valid(src, out, np.empty(out.size), kernel, axis)
+        full = ndimage.correlate1d(src, kernel, axis=axis, mode="constant")
+        assert np.array_equal(out, full[(slice(None),) * axis + (slice(5, -5),)])
+
+    @pytest.mark.parametrize("size", [128, 256])
+    def test_working_set_stays_under_half_a_cube(self, size):
+        truth, recon = ssim_pair((size, size, 31), seed=size)
+        tracemalloc.start()
+        try:
+            ssim(truth, recon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * truth.nbytes + 4e6
 
     def test_identical_images_score_one(self):
         image = np.random.default_rng(3).random((12, 12))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -16,17 +17,20 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from hypercolor import (  # noqa: E402
+    ClueSet,
     GuideImage,
     HyperCube,
     NoiseParams,
     TruncatedFileError,
     affinity_weights,
+    build_system,
     clues_to_cube,
     cube_to_clues,
     formats,
     learn_basis,
     luminance_rescale,
     simulate_clues,
+    solve,
 )
 
 # 8-bit-style guides: distinct levels stay at least one step apart, so an
@@ -165,3 +169,101 @@ def test_guide_files_quantize_within_half_a_step_and_rewrite_exactly(values):
             Path(folder, "b.pgm.json").read_bytes()
             == Path(folder, "a.pgm.json").read_bytes()
         )
+
+
+_EPS = np.finfo(np.float64).eps
+_SOLVE_TOL = 1e-7
+
+
+@st.composite
+def propagation_cases(draw, max_side=12):
+    """A guide of at least 2 pixels, a clue mask with at least one clue and
+    the clue values of 1 to 3 channels, of either sign.
+
+    Guides are noisy, two-level or steep ramps. A single pixel has no
+    neighbour, so its row lacks the affinity weights the invariants use.
+    """
+    height = draw(st.integers(1, max_side))
+    width = draw(st.integers(2 if height == 1 else 1, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noisy", "two-level", "steep"]))
+    if kind == "noisy":
+        guide = rng.random((height, width))
+    elif kind == "two-level":
+        guide = np.where(rng.random((height, width)) < 0.5, 0.1, 0.9)
+    else:
+        ramp = np.add.outer(np.arange(height), np.arange(width)) * 1e3
+        guide = ramp + rng.random((height, width))
+    mask = rng.random((height, width)) < draw(st.floats(0.01, 0.5))
+    mask.flat[rng.integers(mask.size)] = True
+    channels = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    values = rng.normal(0.0, scale, (int(mask.sum()), channels))
+    return guide, mask, values
+
+
+def _system(guide, mask, values):
+    clues = ClueSet(*mask.shape, np.linspace(420.0, 680.0, values.shape[1]), mask, values)
+    return build_system(guide, clues)
+
+
+def _error_bound(system, method):
+    """A function of clue values giving, per channel, how far a solution
+    of ``system`` with those values may stray from the exact one.
+
+    Round-off: a backward-stable LU solve errs by at most about
+    n * eps * cond(A) relative to the clue scale. The iterative solve adds
+    its verified residual: |x - x*| <= ||A^-1|| * tol * ||b||.
+    """
+    dense = system.matrix.toarray()
+    inverse_norm = np.linalg.norm(np.linalg.inv(dense), 2)
+    roundoff = dense.shape[0] * _EPS * inverse_norm * np.linalg.norm(dense, 2)
+
+    def bound(values):
+        out = roundoff * np.abs(values).max(axis=0)
+        if method == "iterative":
+            out = out + inverse_norm * _SOLVE_TOL * np.linalg.norm(values, axis=0)
+        return out
+
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=propagation_cases(), method=st.sampled_from(["direct", "iterative"]))
+def test_solution_stays_within_each_channels_clue_range(case, method):
+    # a non-clue row averages its neighbours and a clue row averages its
+    # clue with them, with positive row-stochastic weights
+    guide, mask, values = case
+    system = _system(guide, mask, values)
+    solution, _ = solve(system, method=method, tol=_SOLVE_TOL)
+    slack = _error_bound(system, method)(values)
+    assert np.all(solution >= values.min(axis=0) - slack)
+    assert np.all(solution <= values.max(axis=0) + slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=propagation_cases(),
+    method=st.sampled_from(["direct", "iterative"]),
+    gain=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_is_linear_in_the_clue_values(case, method, gain, seed):
+    guide, mask, first = case
+    second = np.random.default_rng(seed).normal(0.0, np.abs(first).max(), first.shape)
+    system = _system(guide, mask, first)
+    combined = gain * first + second
+    x1, x2, x12 = (
+        solve(dataclasses.replace(system, clue_values=values), method=method,
+              tol=_SOLVE_TOL)[0]
+        for values in (first, second, combined)
+    )
+    bound = _error_bound(system, method)
+    slack = (
+        bound(combined)
+        + abs(gain) * bound(first)
+        + bound(second)
+        # rounding of gain * x1 + x2 itself
+        + 2 * _EPS * (abs(gain) * np.abs(x1).max(axis=0) + np.abs(x2).max(axis=0))
+    )
+    assert np.all(np.abs(x12 - (gain * x1 + x2)) <= slack)
