@@ -269,7 +269,9 @@ class AffinitySystem:
     ``matrix`` is pixel-count square, held in CSC with the row indices of
     every column sorted, so a direct solve factors it without a copy:
     diagonal 2 at clue pixels and 1 elsewhere, off-diagonals the negated
-    normalized affinities (each row's off-diagonal entries sum to -1).
+    normalized affinities (each row's off-diagonal entries sum to -1). A
+    pixel with no neighbour, the lone pixel of a 1x1 guide, has diagonal 1
+    whether or not it holds a clue, so its row reads ``x = c``.
     The right-hand sides are zero off the clue rows and are kept compact:
     ``clue_rows`` holds the flat indices of the clue pixels, ascending,
     and ``clue_values`` their (clue count, channels) values. ``rhs``
@@ -315,7 +317,8 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
     weights = affinity_weights(values)
     total = height * width
     diagonal = np.full((height, width), _PLAIN_DIAGONAL)
-    diagonal[clues.mask] = _CLUE_DIAGONAL
+    if total > 1:  # a lone pixel has no neighbour to average its clue with
+        diagonal[clues.mask] = _CLUE_DIAGONAL
 
     # a column holds the pixel and its in-bounds 8-neighbors: one entry
     # per pair of rows and pair of columns at most one apart
@@ -716,8 +719,7 @@ def _solve_coefficients(
 
 
 def _finish(
-    spectra, values, wavelengths, *, response_guide=None, response_recon=None,
-    alpha="auto",
+    spectra, values, wavelengths, *, response_guide=None, alpha="auto",
 ) -> tuple[HyperCube, int]:
     """Second stage of :func:`colorize`: rescale and clamp.
 
@@ -726,7 +728,7 @@ def _finish(
     """
     scaled, degenerate = luminance_rescale(
         spectra.reshape(*values.shape, -1), values, response_guide=response_guide,
-        response_recon=response_recon, alpha=alpha,
+        alpha=alpha,
     )
     cube = HyperCube(np.maximum(scaled, 0.0, out=scaled), wavelengths)
     return cube, int(degenerate.sum())
@@ -753,7 +755,6 @@ def colorize(
     *,
     apply_edge_filter: bool = True,
     response_guide=None,
-    response_recon=None,
     rescale_alpha="auto",
     method: str = "auto",
     tol: float = 1e-7,
@@ -777,8 +778,8 @@ def colorize(
         Number of basis directions to keep; requires ``basis``.
     apply_edge_filter : bool
         Pre-filter clues toward their off-edge neighborhoods first.
-    response_guide, response_recon : SpectralResponse or array, optional
-        Responses used by the brightness rescale; default flat.
+    response_guide : SpectralResponse or array, optional
+        Guide response used by the brightness rescale; default flat.
     rescale_alpha : float or "auto"
         Scale of the brightness rescale.
     method, tol, max_iter : solver controls, see :func:`solve`.
@@ -805,7 +806,7 @@ def colorize(
     del solution
     cube, degenerate_pixels = _finish(
         spectra, values, clues.wavelengths, response_guide=response_guide,
-        response_recon=response_recon, alpha=rescale_alpha,
+        alpha=rescale_alpha,
     )
     wall_ms = (time.perf_counter() - start) * 1e3
     return ColorizeResult(

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
@@ -482,14 +482,17 @@ def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="
         "recon": result.cube,
         "mask": mask,
     }
-    return partial(_score, cube, run, result.wall_ms, time.perf_counter() - start,
-                   histogram)
+    return partial(_score, cube, run, time.perf_counter() - start, histogram)
 
 
-def _score(cube, run: dict, colorize_ms, seconds, histogram) -> PipelineResult:
-    """``run_pipeline``'s second stage: score a reconstruction, ``seconds`` in."""
+def _score(cube, run: dict, seconds, histogram) -> PipelineResult:
+    """``run_pipeline``'s second stage: score a reconstruction, ``seconds`` in.
+
+    The report's ``wall_ms`` is the time the five scores took.
+    """
     start = time.perf_counter()
-    report, emd_values = _evaluate_with_emd_values(cube, run["recon"], colorize_ms)
+    report, emd_values = _evaluate_with_emd_values(cube, run["recon"])
+    report = replace(report, wall_ms=(time.perf_counter() - start) * 1e3)
     counts = None
     if histogram:
         finite = emd_values[np.isfinite(emd_values)]
@@ -735,101 +738,33 @@ def _run_many(tasks, workers: int) -> list[list]:
 
     A task is a thunk whose first stage returns its follow-up thunks. With
     one worker each task and its follow-ups run inline, in order. With
-    more, up to ``workers`` threads (the caller among them) share the
-    work: a task's follow-ups join one FIFO queue when its first stage
-    returns, and a free thread starts the next first stage while fewer
-    than ``workers + 1`` tasks are unfinished, otherwise the oldest
-    follow-up. The window bounds the first-stage results held at once.
-    Results keep submission order whatever the worker count; the first
-    exception raised by any stage stops the pool and reaches the caller.
+    more, a pool of ``workers`` threads runs the stages while the caller
+    waits: a first stage submits its follow-ups to the same pool, and the
+    next task's first stage is submitted whenever the oldest unfinished
+    task completes, so at most ``workers + 1`` tasks are in progress. The
+    window bounds the first-stage results held at once. Results keep
+    submission order whatever the worker count; the first exception the
+    caller meets, in that order, cancels the queued stages and is raised.
     """
     if workers <= 1:
         return [[follow_up() for follow_up in task()] for task in tasks]
-    results = [None] * len(tasks)
-    unfinished = [0] * len(tasks)
-    started = 0  # first stages taken
-    queue = deque()  # (task index, follow-up slot, thunk)
-    live = 0  # tasks started and not yet finished
-    idle = 0  # threads waiting for a stage
-    helpers = []
-    failure = None
-    changed = threading.Condition()
+    pool = ThreadPoolExecutor(max_workers=workers)
 
-    def next_stage():
-        """The next (task index, slot or None for a first stage, thunk), or None."""
-        nonlocal started, live, idle
-        while failure is None:
-            if live <= workers and started < len(tasks):
-                stage = (started, None, tasks[started])
-                started += 1
-                live += 1
-            elif queue:
-                stage = queue.popleft()
-            elif not live:
-                return None
-            else:
-                idle += 1
-                changed.wait()
-                idle -= 1
-                continue
-            # as in a thread pool, add a thread only for work no idle one can take
-            more = queue or (live <= workers and started < len(tasks))
-            if more and not idle and len(helpers) < workers - 1:
-                helpers.append(threading.Thread(target=work))
-                helpers[-1].start()
-            return stage
-        return None
+    def first_stage(task):
+        return [pool.submit(follow_up) for follow_up in task()]
 
-    def work():
-        nonlocal live, failure
-        while True:
-            with changed:
-                stage = next_stage()
-            if stage is None:
-                return
-            index, slot, thunk = stage
-            # hold no reference to a finished stage, so a solution its
-            # follow-ups share is freed when the last of them returns
-            del stage
-            try:
-                value = thunk()
-            except BaseException as exc:
-                with changed:
-                    failure = failure or exc
-                    changed.notify_all()
-                return
-            del thunk
-            with changed:
-                if slot is None:
-                    follow_ups = list(value)
-                    results[index] = [None] * len(follow_ups)
-                    unfinished[index] = len(follow_ups)
-                    queue.extend((index, k, f) for k, f in enumerate(follow_ups))
-                    del follow_ups
-                else:
-                    results[index][slot] = value
-                    unfinished[index] -= 1
-                if not unfinished[index]:
-                    live -= 1
-                changed.notify_all()
-            del value
-
+    pending = deque()
+    results = []
     try:
-        work()
-    except BaseException as exc:  # an interrupt between stages: stop the helpers
-        with changed:
-            failure = failure or exc
-            changed.notify_all()
-        raise
+        for task in tasks:
+            pending.append(pool.submit(first_stage, task))
+            if len(pending) > workers:
+                results.append([f.result() for f in pending.popleft().result()])
+        while pending:
+            results.append([f.result() for f in pending.popleft().result()])
     finally:
-        # no thread is added once the caller's loop has ended
-        for helper in helpers:
-            helper.join()
-        # next_stage and work refer to each other: unlink them, or the
-        # results stay alive until the next cyclic garbage collection
-        del next_stage
-    if failure is not None:
-        raise failure
+        # after a failure, drop the queued stages and wait out the running ones
+        pool.shutdown(cancel_futures=True)
     return results
 
 

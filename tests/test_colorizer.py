@@ -61,7 +61,11 @@ def clues_of(values_shape, mask, spectra, bands=None):
 
 
 def coo_matrix_of(guide, mask):
-    """Reference system matrix from one COO triplet per pixel and neighbor."""
+    """Reference system matrix from one COO triplet per pixel and neighbor.
+
+    A clue pixel's diagonal is 2, unless the pixel has no neighbor (a 1x1
+    guide), whose row then reads ``x = c``.
+    """
     height, width = guide.shape
     weights = affinity_weights(guide)
     rows, cols, values = [], [], []
@@ -70,7 +74,7 @@ def coo_matrix_of(guide, mask):
             pixel = row * width + col
             rows.append(pixel)
             cols.append(pixel)
-            values.append(2.0 if mask[row, col] else 1.0)
+            values.append(2.0 if mask[row, col] and height * width > 1 else 1.0)
             for plane, (drow, dcol) in enumerate(NEIGHBOR_OFFSETS):
                 if 0 <= row + drow < height and 0 <= col + dcol < width:
                     rows.append(pixel)

@@ -33,6 +33,7 @@ from hypercolor import (
     train_dimension_model,
     write_json,
 )
+from hypercolor import harness
 from hypercolor.harness import PipelineResult, _acquire, _best_by_emd, _run_many
 from hypercolor.noisesim import SpectralResponse
 
@@ -563,6 +564,18 @@ class TestSweeps:
         assert all(row["metrics"]["wall_ms"] > 0 for row in search.rows(True))
         assert all(row["metrics"]["wall_ms"] == 0.0 for row in search.rows())
 
+    def test_pipeline_metrics_time_is_the_scoring_time(self, monkeypatch):
+        real_colorize = harness.colorize
+
+        def colorize_reporting_an_hour(*args, **kwargs):
+            return replace(real_colorize(*args, **kwargs), wall_ms=3.6e6)
+
+        monkeypatch.setattr(harness, "colorize", colorize_reporting_an_hour)
+        cube = random_cube(20, 20, 5, rank=3, seed=15)
+        row = run_pipeline(cube, fast_config()).to_dict(include_timing=True)
+        # the scores are part of the run, and the colorize time is not theirs
+        assert 0.0 < row["metrics"]["wall_ms"] < row["wall_ms"] < 3.6e6
+
 
 def _staged(name, log, follow_ups):
     """A fake two-stage task: logs its stages and returns ``follow_ups``."""
@@ -628,6 +641,38 @@ class TestStagedPool:
         with pytest.raises(ArithmeticError, match=f"{stage} failed"):
             _run_many(tasks, workers)
 
+    def test_a_failing_first_stage_stops_the_tasks_behind_it(self):
+        workers = 2
+        failure = ArithmeticError("task 0 failed")
+        first_stages = []
+
+        def broken():
+            first_stages.append(0)
+            raise failure
+
+        def task(index):
+            def first_stage():
+                first_stages.append(index)
+                return [lambda: index]
+
+            return first_stage
+
+        outcome = []
+
+        def run():
+            try:
+                _run_many([broken] + [task(index) for index in range(1, 8)], workers)
+            except ArithmeticError as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive()
+        assert len(outcome) == 1 and outcome[0] is failure
+        # only the window's first stages were ever submitted
+        assert len(first_stages) <= workers + 1 < 8
+
     def test_a_real_first_stage_failure_reaches_the_caller(self):
         cube = random_cube(20, 20, 5, rank=3, seed=9)
         config = fast_config(basis_source="truth", rank=3, workers=2)
@@ -674,8 +719,8 @@ class TestStagedPool:
             return []
 
         assert _run_many([task] * 3, workers=16) == [[], [], []]
-        # the caller and two helpers, not fifteen
-        assert max(counts) == baseline + 2
+        # three pool threads, not sixteen
+        assert max(counts) == baseline + 3
 
     def test_results_are_freed_without_the_cycle_collector(self):
         class Payload:

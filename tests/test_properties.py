@@ -177,14 +177,13 @@ _SOLVE_TOL = 1e-7
 
 @st.composite
 def propagation_cases(draw, max_side=12):
-    """A guide of at least 2 pixels, a clue mask with at least one clue and
-    the clue values of 1 to 3 channels, of either sign.
+    """A guide of 1 to ``max_side``² pixels, a clue mask with at least one
+    clue and the clue values of 1 to 3 channels, of either sign.
 
-    Guides are noisy, two-level or steep ramps. A single pixel has no
-    neighbour, so its row lacks the affinity weights the invariants use.
+    Guides are noisy, two-level or steep ramps.
     """
     height = draw(st.integers(1, max_side))
-    width = draw(st.integers(2 if height == 1 else 1, max_side))
+    width = draw(st.integers(1, max_side))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["noisy", "two-level", "steep"]))
     if kind == "noisy":
@@ -228,8 +227,14 @@ def _error_bound(system, method):
     return bound
 
 
+_LONE_PIXEL = (np.ones((1, 1)), np.ones((1, 1), bool), np.array([[3.0, 5.0]]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=propagation_cases(), method=st.sampled_from(["direct", "iterative"]))
+# a pixel with no neighbour: its clue row alone fixes it
+@example(case=_LONE_PIXEL, method="direct")
+@example(case=_LONE_PIXEL, method="iterative")
 def test_solution_stays_within_each_channels_clue_range(case, method):
     # a non-clue row averages its neighbours and a clue row averages its
     # clue with them, with positive row-stochastic weights
@@ -267,3 +272,36 @@ def test_solve_is_linear_in_the_clue_values(case, method, gain, seed):
         + 2 * _EPS * (abs(gain) * np.abs(x1).max(axis=0) + np.abs(x2).max(axis=0))
     )
     assert np.all(np.abs(x12 - (gain * x1 + x2)) <= slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=propagation_cases(),
+    method=st.sampled_from(["direct", "iterative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_channel_is_solved_the_same_in_any_block(case, method, seed):
+    # direct solves take 8 channels per triangular solve: 1, 8 and 9
+    # channels fill a block partly, exactly and one past it, and 31 fill
+    # several, so every column must not depend on its neighbours
+    guide, mask, _values = case
+    values = np.random.default_rng(seed).normal(0.0, 1.0, (int(mask.sum()), 31))
+    system = _system(guide, mask, values)
+    every, _ = solve(system, method=method, tol=_SOLVE_TOL)
+    for count in (1, 8, 9):
+        leading, _ = solve(dataclasses.replace(system, clue_values=values[:, :count]),
+                           method=method, tol=_SOLVE_TOL)
+        assert np.array_equal(leading, every[:, :count])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=propagation_cases())
+def test_direct_and_iterative_solves_agree(case):
+    guide, mask, values = case
+    system = _system(guide, mask, values)
+    direct, _ = solve(system, method="direct", tol=_SOLVE_TOL)
+    iterative, _ = solve(system, method="iterative", tol=_SOLVE_TOL)
+    # each lies within its own bound of the exact solution
+    slack = (_error_bound(system, "direct")(values)
+             + _error_bound(system, "iterative")(values))
+    assert np.all(np.abs(direct - iterative) <= slack)
