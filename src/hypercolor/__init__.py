@@ -6,203 +6,35 @@ every pixel through guide-driven affinities, optionally inside a learned
 low-rank spectral subspace. Experiment helpers sweep acquisition budgets,
 sampling patterns, and reconstruction dimensions, and score results with
 spatial and spectral metrics.
+
+Each module declares its public names once, in its own ``__all__``; the
+package re-exports exactly those lists.
 """
 
-from .colorizer import (
-    NEIGHBOR_OFFSETS,
-    AffinitySystem,
-    ColorizeResult,
-    SolveReport,
-    affinity_weights,
-    build_system,
-    canny_edges,
-    colorize,
-    edge_confidence,
-    edge_filter,
-    luminance_rescale,
-    solve,
+from . import (
+    colorizer, core, errors, formats, harness, metrics, noisesim, sampling, subspace,
 )
-from .core import (
-    ClueSet,
-    GuideImage,
-    HyperCube,
-    SpectralResponse,
-    VISIBLE_RANGE_NM,
-    clues_to_cube,
-    cube_to_clues,
-    import_band_stack,
-    make_guide,
-)
-from .errors import (
-    ConfigError,
-    FormatError,
-    HyperColorError,
-    SolverError,
-    TruncatedFileError,
-    ValidationError,
-)
-from .formats import (
-    read_basis,
-    read_clues,
-    read_cube,
-    read_guide,
-    read_mask,
-    write_basis,
-    write_clues,
-    write_cube,
-    write_guide,
-    write_mask,
-)
-from .harness import (
-    DimensionSearchResult,
-    DimensionTrainingResult,
-    ExperimentConfig,
-    PipelineResult,
-    SweepResult,
-    compare_sampling,
-    export_plotdata,
-    grid_search_dimension,
-    load_config,
-    run_pipeline,
-    time_budget_sweep,
-    train_dimension_model,
-    write_json,
-)
-from .metrics import (
-    CSV_COLUMNS,
-    MetricReport,
-    emd,
-    emd_map,
-    evaluate,
-    gfc,
-    psnr,
-    ssim,
-    ssv,
-)
-from .noisesim import MAX_POISSON_MEAN, NoiseParams, simulate_clues, simulate_guide
-from .sampling import (
-    PATTERNS,
-    RowWeights,
-    SamplingPlan,
-    build_mask,
-    compute_row_weights,
-    detect_corners,
-    sample_guided_push,
-    sample_guided_whisk,
-    sample_random,
-    sample_uniform_push,
-    sample_uniform_whisk,
-)
-from .subspace import (
-    DimensionModel,
-    SpectralBasis,
-    VarianceCurve,
-    estimate_dimension,
-    fit_dimension_model,
-    learn_basis,
-    project,
-    read_model,
-    unproject,
-    variance_curve,
-    write_model,
-)
+from .colorizer import *
+from .core import *
+from .errors import *
+from .formats import *
+from .harness import *
+from .metrics import *
+from .noisesim import *
+from .sampling import *
+from .subspace import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core types
-    "HyperCube",
-    "GuideImage",
-    "ClueSet",
-    "SpectralResponse",
-    "VISIBLE_RANGE_NM",
-    "make_guide",
-    "cube_to_clues",
-    "clues_to_cube",
-    "import_band_stack",
-    # errors
-    "HyperColorError",
-    "FormatError",
-    "TruncatedFileError",
-    "ValidationError",
-    "ConfigError",
-    "SolverError",
-    # file formats
-    "read_cube",
-    "write_cube",
-    "read_clues",
-    "write_clues",
-    "read_basis",
-    "write_basis",
-    "read_guide",
-    "write_guide",
-    "read_mask",
-    "write_mask",
-    # acquisition simulation
-    "NoiseParams",
-    "MAX_POISSON_MEAN",
-    "simulate_guide",
-    "simulate_clues",
-    # sampling
-    "PATTERNS",
-    "SamplingPlan",
-    "RowWeights",
-    "build_mask",
-    "sample_random",
-    "sample_uniform_push",
-    "sample_uniform_whisk",
-    "sample_guided_push",
-    "sample_guided_whisk",
-    "compute_row_weights",
-    "detect_corners",
-    # spectral subspace
-    "SpectralBasis",
-    "learn_basis",
-    "project",
-    "unproject",
-    "VarianceCurve",
-    "variance_curve",
-    "DimensionModel",
-    "fit_dimension_model",
-    "estimate_dimension",
-    "read_model",
-    "write_model",
-    # colorization
-    "canny_edges",
-    "edge_confidence",
-    "edge_filter",
-    "NEIGHBOR_OFFSETS",
-    "affinity_weights",
-    "AffinitySystem",
-    "build_system",
-    "solve",
-    "SolveReport",
-    "luminance_rescale",
-    "colorize",
-    "ColorizeResult",
-    # metrics
-    "psnr",
-    "ssim",
-    "gfc",
-    "ssv",
-    "emd",
-    "emd_map",
-    "evaluate",
-    "MetricReport",
-    "CSV_COLUMNS",
-    # harness
-    "ExperimentConfig",
-    "load_config",
-    "run_pipeline",
-    "PipelineResult",
-    "grid_search_dimension",
-    "DimensionSearchResult",
-    "train_dimension_model",
-    "DimensionTrainingResult",
-    "time_budget_sweep",
-    "compare_sampling",
-    "SweepResult",
-    "write_json",
-    "export_plotdata",
+    *colorizer.__all__,
+    *core.__all__,
+    *errors.__all__,
+    *formats.__all__,
+    *harness.__all__,
+    *metrics.__all__,
+    *noisesim.__all__,
+    *sampling.__all__,
+    *subspace.__all__,
 ]

@@ -113,6 +113,8 @@ def _parse_shape(text: str) -> tuple[int, int]:
         height, width = (int(token) for token in text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"--shape expects HEIGHTxWIDTH, got {text!r}") from None
+    if height < 1 or width < 1:
+        raise ConfigError(f"--shape sides must be at least 1, got {text!r}")
     return height, width
 
 

@@ -379,6 +379,10 @@ def _estimate_factor_bytes(pixels: int) -> int:
     return int(nonzeros * _FACTOR_BYTES_PER_NONZERO)
 
 
+# the solver methods solve() accepts; "auto" picks one of the other two
+_SOLVER_METHODS = ("auto", "direct", "iterative")
+
+
 def _choose_method(method: str, pixels: int) -> tuple[str, int, str]:
     """(method, estimated factor bytes, reason) for a ``pixels``-row system."""
     factor_bytes = _estimate_factor_bytes(pixels)
@@ -525,7 +529,7 @@ def solve(
     SolverError
         When a channel cannot reach ``tol``; carries the achieved residual.
     """
-    if method not in ("auto", "direct", "iterative"):
+    if method not in _SOLVER_METHODS:
         raise ValidationError(f"unknown solver method {method!r}")
     matrix = system.matrix
     method, factor_bytes, reason = _choose_method(method, matrix.shape[0])

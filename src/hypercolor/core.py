@@ -17,8 +17,6 @@ import numpy.typing as npt
 from .errors import ValidationError
 
 __all__ = [
-    "NDArrayF",
-    "NDArrayB",
     "VISIBLE_RANGE_NM",
     "HyperCube",
     "GuideImage",

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .colorizer import _finish, _solve_coefficients, colorize
+from .colorizer import _SOLVER_METHODS, _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse, _resolve_response
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import (
@@ -48,7 +48,6 @@ from .subspace import (
 )
 
 __all__ = [
-    "ENV_PREFIX",
     "ExperimentConfig",
     "load_config",
     "PipelineResult",
@@ -130,7 +129,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f'basis_source must be "clues" or "truth", got {self.basis_source!r}'
             )
-        if self.solver not in ("auto", "direct", "iterative"):
+        if self.solver not in _SOLVER_METHODS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
@@ -797,8 +796,6 @@ def time_budget_sweep(
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValidationError("sweep needs at least one sampling ratio")
-    if any(not 0 < r <= 1 for r in ratios):
-        raise ValidationError(f"ratios must be in (0, 1], got {ratios}")
     results = _sweep(
         lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
                                          label=label, histogram=True)],

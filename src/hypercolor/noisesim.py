@@ -19,7 +19,7 @@ from scipy.special import gammaln
 from .core import ClueSet, GuideImage, HyperCube, SpectralResponse, _resolve_response
 from .errors import ValidationError
 
-__all__ = ["NoiseParams", "simulate_guide", "simulate_clues"]
+__all__ = ["MAX_POISSON_MEAN", "NoiseParams", "simulate_guide", "simulate_clues"]
 
 # Largest Poisson mean the sampler accepts: beyond 2**53 consecutive integers
 # stop being representable in float64 and exactness claims break down.
@@ -189,6 +189,17 @@ def _require_radiance(data: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be nonnegative radiance")
 
 
+def _measure(
+    signal: np.ndarray, params: NoiseParams, domain: np.uint64, slots: np.ndarray
+) -> np.ndarray:
+    """One measurement per slot of the flat radiance ``signal``, under the
+    noise model of the module docstring."""
+    gain = params.gain
+    photons = _poisson(gain * signal, params.seed, domain, slots)
+    read = params.mu + params.sigma * _gaussian(params.seed, domain, slots)
+    return (photons + read) / gain
+
+
 def simulate_guide(
     cube: HyperCube, params: NoiseParams, response: SpectralResponse | None = None
 ) -> GuideImage:
@@ -201,11 +212,8 @@ def simulate_guide(
     _require_radiance(cube.data, "scene cube")
     resp = _resolve_response(cube.wavelengths, response)
     ideal = cube.data @ resp.weights
-    gain = params.gain
     slots = np.arange(ideal.size, dtype=np.uint64)
-    photons = _poisson(gain * ideal.ravel(), params.seed, _DOMAIN_GUIDE, slots)
-    read = params.mu + params.sigma * _gaussian(params.seed, _DOMAIN_GUIDE, slots)
-    values = (photons + read) / gain
+    values = _measure(ideal.ravel(), params, _DOMAIN_GUIDE, slots)
     return GuideImage(values.reshape(ideal.shape))
 
 
@@ -228,8 +236,7 @@ def simulate_clues(cube: HyperCube, mask, params: NoiseParams) -> ClueSet:
     true_spectra = cube.data[mask]
     pixel_index = np.flatnonzero(mask.ravel()).astype(np.uint64)
     slots = (pixel_index[:, None] * np.uint64(bands) + np.arange(bands, dtype=np.uint64)).ravel()
-    gain = params.gain
-    photons = _poisson(gain * true_spectra.ravel(), params.seed, _DOMAIN_CLUES, slots)
-    read = params.mu + params.sigma * _gaussian(params.seed, _DOMAIN_CLUES, slots)
-    spectra = ((photons + read) / gain).reshape(true_spectra.shape)
-    return ClueSet(cube.height, cube.width, cube.wavelengths, mask, spectra)
+    spectra = _measure(true_spectra.ravel(), params, _DOMAIN_CLUES, slots)
+    return ClueSet(
+        cube.height, cube.width, cube.wavelengths, mask, spectra.reshape(true_spectra.shape)
+    )

@@ -11,7 +11,7 @@ regression to a reconstruction dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -410,16 +410,7 @@ def estimate_dimension(
 # ---------------------------------------------------------------------------
 # Model serialization (JSON)
 
-_MODEL_FIELDS = (
-    "intercept",
-    "elbow",
-    "log_min_variance",
-    "elbow_sq",
-    "log_min_variance_sq",
-    "elbow_x_log_min_variance",
-    "clamp_min",
-    "clamp_max",
-)
+_MODEL_FIELDS = tuple(spec.name for spec in fields(DimensionModel))
 
 
 def write_model(model: DimensionModel, path) -> None:

@@ -283,6 +283,12 @@ class TestConfigFlags:
             ["basis", "learn", "{cube}", "--rank", "0", "--out", "{out}"],
             ["colorize", "--guide", "{guide}", "--clues", "{clues}",
              "--canny-low", "95", "--canny-high", "90", "--out", "{out}"],
+            ["sample", "--rate", "0.25", "--shape", "0x5", "--out", "{out}"],
+            ["sample", "--rate", "0.25", "--shape", "5x0", "--out", "{out}"],
+            ["sample", "--rate", "0.25", "--shape=-3x5", "--out", "{out}"],
+            ["sweep-budget", "{cube}", "--ratios", "0", "--out", "{out}"],
+            ["sweep-budget", "{cube}", "--ratios", "1.5", "--out", "{out}"],
+            ["sweep-budget", "{cube}", "--ratios", "nan", "--out", "{out}"],
         ],
     )
     def test_out_of_range_argument_is_usage_error(

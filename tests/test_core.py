@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hypercolor
 from conftest import constant_cube, random_cube, wavelengths_for
 from hypercolor import (
     ClueSet,
@@ -10,8 +11,17 @@ from hypercolor import (
     ValidationError,
     clues_to_cube,
     cube_to_clues,
+    colorizer,
+    core,
+    errors,
+    formats,
+    harness,
     import_band_stack,
     make_guide,
+    metrics,
+    noisesim,
+    sampling,
+    subspace,
 )
 
 
@@ -210,3 +220,16 @@ class TestImportBandStack:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             import_band_stack([np.ones((2, 2)), np.ones((3, 2))], [500.0, 600.0])
+
+
+class TestPackageSurface:
+    MODULES = (colorizer, core, errors, formats, harness, metrics, noisesim, sampling,
+               subspace)
+
+    def test_package_exports_each_modules_names(self):
+        declared = [name for module in self.MODULES for name in module.__all__]
+        assert hypercolor.__all__ == ["__version__", *declared]
+        assert len(set(hypercolor.__all__)) == len(hypercolor.__all__)
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert getattr(hypercolor, name) is getattr(module, name), name

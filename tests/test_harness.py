@@ -477,9 +477,9 @@ class TestSweeps:
         cube = random_cube(20, 20, 5, rank=3, seed=12)
         with pytest.raises(ValidationError):
             time_budget_sweep(cube, fast_config(), ())
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             time_budget_sweep(cube, fast_config(), (0.0,))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             time_budget_sweep(cube, fast_config(), (1.5,))
 
     def test_compare_sampling_runs_each_pattern(self):
