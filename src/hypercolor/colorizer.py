@@ -59,10 +59,12 @@ _DEGENERATE_DENOMINATOR = 1e-12
 _EDGE_BLUR_SIZE = 31
 _EDGE_BLUR_SIGMA = np.sqrt(11.0)
 _CLUE_WINDOW = 21
-# the stencil in the row order of a CSC column, None for the diagonal:
-# column j holds plane k's entry on row j - offset_k, and the flat
-# offsets of NEIGHBOR_OFFSETS ascend with k
-_COLUMN_ORDER = (7, 6, 5, 4, None, 3, 2, 1, 0)
+# nested dissection stops at rectangles of at most this many pixels, and
+# at strips at most _STRIP_WIDTH across and _STRIP_ASPECT times as long:
+# ordered along their length, those fill in less than bisected
+_DISSECTION_LEAF = 16
+_STRIP_WIDTH = 16
+_STRIP_ASPECT = 3
 # LU fill of the grid system: nonzeros ~ _FACTOR_FILL * n * log2(n)
 _FACTOR_FILL = 6.0
 _FACTOR_BYTES_PER_NONZERO = 16
@@ -262,39 +264,122 @@ def _shift_slices(height, width, drow, dcol, invert):
     return rows, cols
 
 
+def _dissection_rank(height: int, width: int) -> np.ndarray:
+    """Position of each pixel of a ``height`` x ``width`` grid in a nested-
+    dissection order, as a (height, width) array.
+
+    A rectangle is cut across its longer side by a one-pixel line. The
+    8-neighbour stencil couples no pixel on one side of that line to a
+    pixel on the other, so the two halves come first, each dissected in
+    turn, and the line last. Rectangles of at most 16 pixels, and strips
+    at most 16 pixels across and at least three times as long, are
+    ordered along their longer side. All rectangles of one depth are cut
+    at once.
+    """
+    rank = np.empty((height, width), dtype=np.int64)
+    # rectangles still to order, one per column: top row, left column,
+    # height, width and their first rank
+    boxes = np.array([[0], [0], [height], [width], [0]], dtype=np.int64)
+    while boxes.size:
+        _, _, rows, cols, _ = boxes
+        short, long = np.minimum(rows, cols), np.maximum(rows, cols)
+        whole = (rows * cols <= _DISSECTION_LEAF) | (
+            (short <= _STRIP_WIDTH) & (long >= _STRIP_ASPECT * short)
+        )
+        _rank_boxes(rank, boxes[:, whole])
+        top, left, rows, cols, first = boxes[:, ~whole]
+        # a rectangle at least as tall as wide is cut by a row, a wider one
+        # by a column; over 16 pixels, its longer side leaves both halves
+        # nonempty
+        tall = (rows >= cols).astype(np.int64)
+        wide = 1 - tall
+        half = np.where(tall, rows, cols) // 2
+        after = half + 1
+        _rank_boxes(rank, np.stack([
+            top + tall * half, left + wide * half,
+            np.where(tall, 1, rows), np.where(tall, cols, 1),
+            first + rows * cols - np.where(tall, cols, rows),
+        ]))
+        before_rows = np.where(tall, half, rows)
+        before_cols = np.where(tall, cols, half)
+        boxes = np.concatenate([
+            np.stack([top, left, before_rows, before_cols, first]),
+            np.stack([
+                top + tall * after, left + wide * after,
+                rows - tall * after, cols - wide * after,
+                first + before_rows * before_cols,
+            ]),
+        ], axis=1)
+    return rank
+
+
+def _rank_boxes(rank: np.ndarray, boxes: np.ndarray) -> None:
+    """Rank each box's pixels in ``rank`` consecutively from its first
+    rank: row by row, or column by column in a box wider than tall.
+
+    ``boxes`` holds one (top, left, height, width, first rank) per column.
+    """
+    top, left, rows, cols, first = boxes
+    sizes = rows * cols
+    step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows, cols = np.repeat(rows, sizes), np.repeat(cols, sizes)
+    wide = cols > rows
+    row = np.where(wide, step % rows, step // cols)
+    col = np.where(wide, step // rows, step % cols)
+    rank[np.repeat(top, sizes) + row, np.repeat(left, sizes) + col] = (
+        np.repeat(first, sizes) + step
+    )
+
+
 @dataclass
 class AffinitySystem:
     """Sparse propagation system with its right-hand sides.
 
-    ``matrix`` is pixel-count square, held in CSC with the row indices of
-    every column sorted, so a direct solve factors it without a copy:
-    diagonal 2 at clue pixels and 1 elsewhere, off-diagonals the negated
-    normalized affinities (each row's off-diagonal entries sum to -1). A
-    pixel with no neighbour, the lone pixel of a 1x1 guide, has diagonal 1
-    whether or not it holds a clue, so its row reads ``x = c``.
+    The matrix is pixel-count square: diagonal 2 at clue pixels and 1
+    elsewhere, off-diagonals the negated normalized affinities (each row's
+    off-diagonal entries sum to -1). A pixel with no neighbour, the lone
+    pixel of a 1x1 guide, has diagonal 1 whether or not it holds a clue,
+    so its row reads ``x = c``.
+
+    Only ``ordered`` is stored: the matrix with its rows and columns in
+    the nested-dissection order of the grid, held in CSC with the row
+    indices of every column sorted, so a direct solve factors it without
+    a copy. ``rank[p]`` is the row of flat pixel ``p`` there. ``matrix``
+    builds the same matrix in pixel order, as canonical CSC, anew on each
+    access.
+
     The right-hand sides are zero off the clue rows and are kept compact:
     ``clue_rows`` holds the flat indices of the clue pixels, ascending,
     and ``clue_values`` their (clue count, channels) values. ``rhs``
-    expands them into a read-only dense (pixel count, channels) array,
-    built anew on each access.
+    expands them into a read-only dense (pixel count, channels) array in
+    pixel order, built anew on each access.
     """
 
-    matrix: sparse.csc_matrix
+    ordered: sparse.csc_matrix
+    rank: np.ndarray
     clue_rows: np.ndarray
     clue_values: np.ndarray
 
     @property
+    def matrix(self) -> sparse.csc_matrix:
+        """The matrix in pixel order: canonical CSC, a new copy."""
+        matrix = self.ordered[self.rank][:, self.rank]
+        matrix.sort_indices()
+        return matrix
+
+    @property
     def rhs(self) -> np.ndarray:
         """Dense (pixel count, channels) right-hand sides, read-only."""
-        dense = self._dense(slice(None))
+        dense = np.zeros((self.rank.size, self.clue_values.shape[1]))
+        dense[self.clue_rows] = self.clue_values
         dense.flags.writeable = False
         return dense
 
-    def _dense(self, channels, order="C") -> np.ndarray:
-        """Dense right-hand sides of the selected channels."""
-        values = self.clue_values[:, channels]
-        dense = np.zeros((self.matrix.shape[0], values.shape[1]), order=order)
-        dense[self.clue_rows] = values
+    def _ordered_rhs(self, channels) -> np.ndarray:
+        """Dense right-hand sides of the selected channels in the rows of
+        ``ordered``, Fortran order."""
+        dense = np.zeros((self.rank.size, len(channels)), order="F")
+        dense[self.rank[self.clue_rows]] = self.clue_values[:, channels]
         return dense
 
 
@@ -324,26 +409,31 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
     # per pair of rows and pair of columns at most one apart
     nnz = (3 * height - 2) * (3 * width - 2)
     index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    rank = _dissection_rank(height, width).astype(index_dtype)
     indptr = np.zeros(total + 1, dtype=index_dtype)
-    indptr[1:] = np.cumsum(window_count((height, width), 3))
-    # next free position in each column, filled one stencil entry at a time
-    cursor = indptr[:-1].reshape(height, width).copy()
-    index = np.arange(total, dtype=index_dtype).reshape(height, width)
+    indptr[1:][rank] = window_count((height, width), 3)
+    np.cumsum(indptr, out=indptr)
+    # next free position in each pixel's column, filled one stencil entry
+    # at a time
+    cursor = indptr[:-1][rank]
 
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
-    for plane in _COLUMN_ORDER:
+    for plane in (None, *range(len(NEIGHBOR_OFFSETS))):
         drow, dcol = (0, 0) if plane is None else NEIGHBOR_OFFSETS[plane]
         center = _shift_slices(height, width, drow, dcol, invert=False)
         column = _shift_slices(height, width, drow, dcol, invert=True)
         slots = cursor[column]
-        indices[slots] = index[center]
+        indices[slots] = rank[center]
         data[slots] = diagonal if plane is None else -weights[plane][center]
         cursor[column] += 1
 
-    matrix = sparse.csc_matrix((data, indices, indptr), shape=(total, total))
+    ordered = sparse.csc_matrix((data, indices, indptr), shape=(total, total))
+    ordered.sort_indices()
     rows = np.flatnonzero(clues.mask)
-    return AffinitySystem(matrix, rows, np.array(clues.spectra, order="C"))
+    return AffinitySystem(
+        ordered, rank.ravel(), rows, np.array(clues.spectra, order="C")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +459,10 @@ class SolveReport:
 def _estimate_factor_bytes(pixels: int) -> int:
     """Estimated memory of the sparse LU factor of a ``pixels``-node system.
 
-    Under the minimum-degree ordering of A + A^T the 8-neighbor grid fills
-    in to about c * n * log2(n) nonzeros; c was measured at 4.8 to 5.7 on
-    grids from 128x128 to 700x700 and is rounded up here. Each nonzero
-    costs a value and an index plus SuperLU's supernode bookkeeping.
+    In the nested-dissection order the 8-neighbor grid fills in to about
+    c * n * log2(n) stored nonzeros; c was measured at 4.7 to 5.5 on grids
+    from 128x128 to 700x700 and is rounded up here. Each nonzero costs a
+    value and an index plus SuperLU's supernode bookkeeping.
     """
     pixels = max(int(pixels), 2)
     nonzeros = _FACTOR_FILL * pixels * math.log2(pixels)
@@ -439,20 +529,23 @@ def _factor_room(factor_bytes: int):
 
 
 def _direct_solve_into(solution, system, channels, factor_bytes) -> None:
-    """Factor the system's matrix once and solve the given channels into
-    ``solution``, ``_SOLVE_BLOCK`` channels per triangular solve."""
+    """Factor the system's ordered matrix once and solve the given channels
+    into ``solution``, ``_SOLVE_BLOCK`` channels per triangular solve."""
     with _factor_room(factor_bytes):
         # every row is diagonally dominant (clue rows strictly), so the
-        # factorization needs no pivoting and keeps the symmetric ordering
+        # factorization needs no pivoting and keeps the dissection order
         factor = sparse_linalg.splu(
-            system.matrix,
-            permc_spec="MMD_AT_PLUS_A",
+            system.ordered,
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         for start in range(0, len(channels), _SOLVE_BLOCK):
             block = channels[start : start + _SOLVE_BLOCK]
-            solution[:, block] = factor.solve(system._dense(block, order="F"))
+            solved = factor.solve(system._ordered_rhs(block))
+            for column, channel in enumerate(block):
+                solution[:, channel] = solved[system.rank, column]
+            del solved  # before the next block's right-hand side
         del factor
         # freeing the factor's multi-MB buffers raises glibc's dynamic mmap
         # threshold, and later cube-sized arrays then stay resident in the
@@ -475,11 +568,16 @@ def _channel_norms(system: AffinitySystem) -> np.ndarray:
 
 
 def _gap_norms(system: AffinitySystem, solution, channels) -> np.ndarray:
-    """2-norm of matrix @ x - b for the given channels of ``solution``."""
-    # the product reads its operand row-major, so the block is copied in
-    # that order
-    gaps = system.matrix @ np.ascontiguousarray(solution[:, channels])
-    gaps[system.clue_rows] -= system.clue_values[:, channels]
+    """2-norm of matrix @ x - b for the given channels of ``solution``,
+    taken in the rows of the ordered matrix."""
+    # the product reads its operand row-major, so the block is gathered
+    # in that order
+    operand = np.empty((system.rank.size, len(channels)))
+    for column, channel in enumerate(channels):
+        operand[system.rank, column] = solution[:, channel]
+    gaps = system.ordered @ operand
+    del operand  # the norm below takes one more block
+    gaps[system.rank[system.clue_rows]] -= system.clue_values[:, channels]
     return np.linalg.norm(gaps, axis=0)
 
 
@@ -491,8 +589,11 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve every channel of the system against its shared matrix.
 
-    Right-hand sides are expanded from the system's compact clue values
-    one block at a time, never for every channel at once, and the CSC
+    Every method works on the system's ``ordered`` matrix, whose rows
+    follow the grid's nested-dissection order: right-hand sides are
+    expanded from the compact clue values straight into that order, one
+    block at a time and never for every channel at once, and solutions
+    are gathered back into pixel order one channel at a time. The CSC
     matrix is factored as it is. Outside the LU factor, the direct path
     holds the solution plus two (pixel count, 8) blocks; the iterative
     path the solution plus a few single columns.
@@ -502,8 +603,8 @@ def solve(
     system : AffinitySystem
     method : str
         "iterative" (BiCGStab with a Jacobi preconditioner, one channel at
-        a time), "direct" (one sparse LU factorization under a
-        minimum-degree ordering, shared by every channel and applied to
+        a time), "direct" (one sparse LU factorization in the nested-
+        dissection order, shared by every channel and applied to
         blocks of 8 channels per triangular solve), or "auto",
         which picks direct whenever the estimated LU factor fits a
         1 GiB budget (up to roughly 580k pixels) and iterative above it.
@@ -511,9 +612,9 @@ def solve(
         estimated factors together fit that budget; past it they wait
         their turn.
     tol : float
-        Relative residual each channel must reach.
+        Relative residual each channel must reach; positive and finite.
     max_iter : int
-        Iteration cap for the iterative path.
+        Iteration cap for the iterative path; at least 1.
 
     Returns
     -------
@@ -526,12 +627,19 @@ def solve(
 
     Raises
     ------
+    ValidationError
+        On an unknown method, a ``tol`` that is not positive and finite,
+        or a ``max_iter`` below 1, before any work is done.
     SolverError
         When a channel cannot reach ``tol``; carries the achieved residual.
     """
     if method not in _SOLVER_METHODS:
         raise ValidationError(f"unknown solver method {method!r}")
-    matrix = system.matrix
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    if not max_iter >= 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    matrix = system.ordered
     method, factor_bytes, reason = _choose_method(method, matrix.shape[0])
 
     channels = system.clue_values.shape[1]
@@ -563,7 +671,7 @@ def solve(
 
     preconditioner = sparse.diags(1.0 / matrix.diagonal())
     for channel in active:
-        b = system._dense([channel])[:, 0]
+        b = system._ordered_rhs([channel])[:, 0]
         count = {"n": 0}
 
         def _tick(_xk):
@@ -586,7 +694,7 @@ def solve(
                 f"on channel {channel}",
                 residual=residual,
             )
-        solution[:, channel] = x
+        solution[:, channel] = x[system.rank]
         residuals[channel] = residual
         iterations[channel] = count["n"]
     return solution, SolveReport(

@@ -108,8 +108,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.time_budget <= 0:
             raise ConfigError(f"time_budget must be positive, got {self.time_budget}")
-        if self.guide_budget is not None and self.guide_budget <= 0:
-            raise ConfigError(f"guide_budget must be positive, got {self.guide_budget}")
+        if self.guide_budget is not None and not 0 < self.guide_budget < math.inf:
+            raise ConfigError(
+                f"guide_budget must be positive and finite, got {self.guide_budget}"
+            )
         # the sampling and noise fields are checked by the objects they build
         try:
             _plan(self)
@@ -131,9 +133,9 @@ class ExperimentConfig:
             )
         if self.solver not in _SOLVER_METHODS:
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if not self.max_iter >= 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
         if isinstance(self.rescale_alpha, str) and self.rescale_alpha != "auto":
             raise ConfigError(

@@ -188,7 +188,8 @@ class TestBuildSystem:
         assert np.allclose(row_sums, mask.ravel().astype(float), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "shape", [(1, 1), (1, 6), (5, 1), (2, 2), (2, 5), (3, 3), (13, 8)]
+        "shape",
+        [(1, 1), (1, 6), (5, 1), (2, 2), (2, 5), (3, 3), (13, 8), (24, 37), (70, 3)],
     )
     def test_matrix_is_the_canonical_csc_of_the_stencil(self, shape):
         rng = np.random.default_rng(sum(shape))
@@ -198,12 +199,41 @@ class TestBuildSystem:
         expected = coo_matrix_of(guide, mask).tocsc()
         matrix = system.matrix
         assert matrix.format == "csc" and matrix.has_canonical_format
-        # a direct solve hands the matrix to splu, whose tocsc is then free
+        # the pixel-order copy is CSC as well, so converting it is free
         assert matrix.tocsc() is matrix
         for name in ("data", "indices", "indptr"):
             got, want = getattr(matrix, name), getattr(expected, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    def test_dissection_orders_halves_first_and_strips_along_their_length(self):
+        rank = colorizer._dissection_rank(5, 5)
+        # the middle row splits the 5x5 grid: the 2x5 halves come first,
+        # each column by column along its longer side, and the row last
+        halves = np.arange(10).reshape(5, 2).T
+        assert np.array_equal(rank[:2], halves)
+        assert np.array_equal(rank[3:], 10 + halves)
+        assert np.array_equal(rank[2], np.arange(20, 25))
+        # a strip three times as long as it is wide is never cut
+        strip = np.arange(120).reshape(40, 3)
+        assert np.array_equal(colorizer._dissection_rank(40, 3), strip)
+        assert np.array_equal(colorizer._dissection_rank(3, 40), strip.T)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (24, 37), (70, 3), (6, 40)])
+    def test_ordered_matrix_is_the_stencil_in_dissection_order(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        guide = rng.random(shape)
+        mask = scatter_mask(*shape, 0.2, seed=4)
+        system = build_system(guide, clues_of(shape, mask, np.ones((mask.sum(), 1))))
+        assert np.array_equal(system.rank, colorizer._dissection_rank(*shape).ravel())
+        ordered = system.ordered
+        # canonical int32 CSC, which splu factors without a copy
+        assert ordered.format == "csc" and ordered.has_canonical_format
+        assert ordered.indices.dtype == np.int32
+        # pixel p sits on row and column rank[p]
+        pixel = np.argsort(system.rank)
+        expected = coo_matrix_of(guide, mask).toarray()[np.ix_(pixel, pixel)]
+        assert np.array_equal(ordered.toarray(), expected)
 
     def test_csc_products_match_csr_bit_for_bit(self):
         # residuals and BiCGStab iteration counts stay byte-identical to a
@@ -359,8 +389,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("bands", [1, 8, 9, 31])
     def test_blocked_direct_solve_matches_single_columns(self, bands):
-        system = self.random_system(height=24, width=24, bands=bands, seed=13)
+        system = self.random_system(height=24, width=37, bands=bands, seed=13)
         solution, report = solve(system, method="direct")
+        # minimum degree on the pixel-order matrix: an oracle that shares
+        # neither the dissection order nor the blocking
         factor = splu(
             system.matrix.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
@@ -411,6 +443,28 @@ class TestSolve:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             solve(self.random_system(), method="cholesky")
+
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-7},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+        ],
+    )
+    def test_bad_tolerance_or_cap_rejected_before_solving(
+        self, monkeypatch, method, limits
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(colorizer.sparse_linalg, "splu", must_not_run)
+        monkeypatch.setattr(colorizer.sparse_linalg, "bicgstab", must_not_run)
+        with pytest.raises(ValidationError):
+            solve(self.random_system(), method=method, **limits)
 
     def test_transpose_equivariance(self):
         cube = random_cube(9, 13, 3, seed=11)

@@ -112,7 +112,12 @@ class TestConfig:
             {"basis_source": "guide"},
             {"solver": "cg"},
             {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"guide_budget": float("nan")},
+            {"guide_budget": float("inf")},
             {"max_iter": 0},
+            {"max_iter": float("nan")},
             {"rescale_alpha": "none"},
             {"workers": 0},
             {"sample_alpha": 2.0},

@@ -32,6 +32,7 @@ from hypercolor import (  # noqa: E402
     simulate_clues,
     solve,
 )
+from hypercolor.colorizer import _dissection_rank  # noqa: E402
 
 # 8-bit-style guides: distinct levels stay at least one step apart, so an
 # affine map cannot round a difference between two pixels away
@@ -169,6 +170,21 @@ def test_guide_files_quantize_within_half_a_step_and_rewrite_exactly(values):
             Path(folder, "b.pgm.json").read_bytes()
             == Path(folder, "a.pgm.json").read_bytes()
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 70), st.integers(1, 70)),
+        st.integers(1, 4000).flatmap(
+            lambda n: st.sampled_from([(1, n), (n, 1), (3, n)])
+        ),
+    )
+)
+def test_dissection_rank_is_a_permutation_of_the_pixels(shape):
+    rank = _dissection_rank(*shape)
+    assert rank.shape == shape
+    assert np.array_equal(np.sort(rank, axis=None), np.arange(shape[0] * shape[1]))
 
 
 _EPS = np.finfo(np.float64).eps
