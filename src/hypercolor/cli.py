@@ -271,6 +271,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     plan = _plan(_config_from_args(args))
+    if args.guide is None and plan.pattern.startswith("guided"):
+        raise ConfigError(f"pattern {plan.pattern!r} needs --guide")
+    if args.guide is None and args.shape is None:
+        raise ConfigError("sample needs --shape or --guide")
     guide = formats.read_guide(args.guide) if args.guide else None
     shape = _parse_shape(args.shape) if args.shape else None
     mask = build_mask(plan, shape=shape, guide=guide)
@@ -454,7 +458,8 @@ def _cmd_export_plotdata(args) -> int:
     with open(args.report, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # not UTF-8, not JSON, or an integer too long to convert
+        except ValueError as exc:
             raise FormatError(f"{args.report}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "rows" not in payload:
         raise FormatError(f"{args.report}: not a harness report (missing rows)")

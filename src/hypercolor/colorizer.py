@@ -528,9 +528,40 @@ def _factor_room(factor_bytes: int):
             _FACTOR_ROOM.notify_all()
 
 
-def _direct_solve_into(solution, system, channels, factor_bytes) -> None:
+def _accept_block(solution, system, block, solved, norms, tol, solver, info=0):
+    """Check channels ``block``, solved C-ordered in the rows of
+    ``system.ordered``, and only then gather them into ``solution`` in
+    pixel order; return their residuals |ordered @ x - b| / |b|.
+
+    ``norms`` holds |b| of every channel. Raises SolverError at the first
+    channel whose residual is not finite or above ``tol``, or whose
+    solver ``info`` is not 0; ``solver`` names the run in the message.
+    """
+    gaps = system.ordered @ solved
+    gaps[system.rank[system.clue_rows]] -= system.clue_values[:, block]
+    # squared in place: np.linalg.norm's bits without its temporary block
+    gaps *= gaps
+    residuals = np.sqrt(gaps.sum(axis=0)) / norms[block]
+    del gaps
+    for channel, residual in zip(block, residuals.tolist()):
+        if info != 0 or not math.isfinite(residual) or residual > tol:
+            raise SolverError(
+                f"{solver} left relative residual {residual:.3e} "
+                f"(target {tol:.1e}) on channel {channel}",
+                residual=residual,
+            )
+    for column, channel in enumerate(block):
+        solution[:, channel] = solved[system.rank, column]
+    return residuals
+
+
+def _direct_solve_into(solution, residuals, system, channels, norms, tol,
+                       factor_bytes) -> None:
     """Factor the system's ordered matrix once and solve the given channels
-    into ``solution``, ``_SOLVE_BLOCK`` channels per triangular solve."""
+    ``_SOLVE_BLOCK`` per triangular solve, each block accepted into
+    ``solution`` and ``residuals`` by :func:`_accept_block` while the
+    factor is held. The factor is freed and its budget returned on every
+    exit, a SolverError included."""
     with _factor_room(factor_bytes):
         # every row is diagonally dominant (clue rows strictly), so the
         # factorization needs no pivoting and keeps the dissection order
@@ -540,45 +571,23 @@ def _direct_solve_into(solution, system, channels, factor_bytes) -> None:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-        for start in range(0, len(channels), _SOLVE_BLOCK):
-            block = channels[start : start + _SOLVE_BLOCK]
-            solved = factor.solve(system._ordered_rhs(block))
-            for column, channel in enumerate(block):
-                solution[:, channel] = solved[system.rank, column]
-            del solved  # before the next block's right-hand side
-        del factor
-        # freeing the factor's multi-MB buffers raises glibc's dynamic mmap
-        # threshold, and later cube-sized arrays then stay resident in the
-        # per-thread arenas; hand the freed pages back instead
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-
-
-def _channel_norms(system: AffinitySystem) -> np.ndarray:
-    """2-norm of each channel's right-hand side.
-
-    numpy sums several columns row by row, so the zero rows off the clues
-    drop out and the compact values give the dense sums bit for bit. A
-    lone column is summed pairwise over every row instead, which the zeros
-    regroup, so it is taken densely.
-    """
-    if system.clue_values.shape[1] == 1:
-        return np.linalg.norm(system.rhs, axis=0)
-    return np.linalg.norm(system.clue_values, axis=0)
-
-
-def _gap_norms(system: AffinitySystem, solution, channels) -> np.ndarray:
-    """2-norm of matrix @ x - b for the given channels of ``solution``,
-    taken in the rows of the ordered matrix."""
-    # the product reads its operand row-major, so the block is gathered
-    # in that order
-    operand = np.empty((system.rank.size, len(channels)))
-    for column, channel in enumerate(channels):
-        operand[system.rank, column] = solution[:, channel]
-    gaps = system.ordered @ operand
-    del operand  # the norm below takes one more block
-    gaps[system.rank[system.clue_rows]] -= system.clue_values[:, channels]
-    return np.linalg.norm(gaps, axis=0)
+        try:
+            for start in range(0, len(channels), _SOLVE_BLOCK):
+                block = channels[start : start + _SOLVE_BLOCK]
+                # the Fortran result goes as soon as it is copied row-major,
+                # the order the residual product reads
+                residuals[block] = _accept_block(
+                    solution, system, block,
+                    np.ascontiguousarray(factor.solve(system._ordered_rhs(block))),
+                    norms, tol, "direct solve",
+                )
+        finally:
+            del factor
+            # freeing the factor's multi-MB buffers raises glibc's dynamic
+            # mmap threshold, and later cube-sized arrays then stay resident
+            # in the per-thread arenas; hand the freed pages back instead
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
 
 
 def solve(
@@ -592,11 +601,14 @@ def solve(
     Every method works on the system's ``ordered`` matrix, whose rows
     follow the grid's nested-dissection order: right-hand sides are
     expanded from the compact clue values straight into that order, one
-    block at a time and never for every channel at once, and solutions
-    are gathered back into pixel order one channel at a time. The CSC
-    matrix is factored as it is. Outside the LU factor, the direct path
-    holds the solution plus two (pixel count, 8) blocks; the iterative
-    path the solution plus a few single columns.
+    block at a time and never for every channel at once. Every block
+    solved, 8 channels of a direct solve or one of an iterative one, is
+    checked in that order before it is gathered into the solution in
+    pixel order. The CSC matrix is factored as it is. Outside the LU
+    factor, the direct path holds the solution plus two (pixel count, 8)
+    blocks: the right-hand side and the solved block during the solve,
+    the solved block and its residual during the check. The iterative
+    path holds the solution plus a few single columns.
 
     Parameters
     ----------
@@ -631,7 +643,9 @@ def solve(
         On an unknown method, a ``tol`` that is not positive and finite,
         or a ``max_iter`` below 1, before any work is done.
     SolverError
-        When a channel cannot reach ``tol``; carries the achieved residual.
+        At the first channel that does not reach ``tol``, or whose
+        BiCGStab run does not report convergence; carries the achieved
+        residual.
     """
     if method not in _SOLVER_METHODS:
         raise ValidationError(f"unknown solver method {method!r}")
@@ -644,61 +658,37 @@ def solve(
 
     channels = system.clue_values.shape[1]
     solution = np.zeros((matrix.shape[0], channels), order="F")
-    norms = _channel_norms(system)
+    norms = np.linalg.norm(system.clue_values, axis=0)
     active = [channel for channel in range(channels) if norms[channel] != 0]
-    residuals = [0.0] * channels
+    residuals = np.zeros(channels)
     iterations = [0] * channels
 
     if method == "direct":
-        _direct_solve_into(solution, system, active, factor_bytes)
-        # one sparse-times-dense product per block of channels; one product
-        # over every channel holds cube-sized temporaries, which raised the
-        # peak RSS of a two-thread 128x128 sweep by about 7%
-        for start in range(0, len(active), _SOLVE_BLOCK):
-            block = active[start : start + _SOLVE_BLOCK]
-            for channel, gap in zip(block, _gap_norms(system, solution, block)):
-                residual = float(gap / norms[channel])
-                if not np.isfinite(residual) or residual > tol:
-                    raise SolverError(
-                        f"direct solve left relative residual {residual:.3e} "
-                        f"above {tol:.1e} on channel {channel}",
-                        residual=residual,
-                    )
-                residuals[channel] = residual
-        return solution, SolveReport(
-            "direct", tuple(residuals), tuple(iterations), factor_bytes, reason
+        _direct_solve_into(
+            solution, residuals, system, active, norms, tol, factor_bytes
         )
+    else:
+        preconditioner = sparse.diags(1.0 / matrix.diagonal())
+        for channel in active:
+            def _tick(_xk):
+                iterations[channel] += 1
 
-    preconditioner = sparse.diags(1.0 / matrix.diagonal())
-    for channel in active:
-        b = system._ordered_rhs([channel])[:, 0]
-        count = {"n": 0}
-
-        def _tick(_xk):
-            count["n"] += 1
-
-        x, info = sparse_linalg.bicgstab(
-            matrix,
-            b,
-            M=preconditioner,
-            maxiter=max_iter,
-            callback=_tick,
-            atol=0.0,
-            **{_ITERATIVE_TOL_KW: tol},
-        )
-        residual = float(np.linalg.norm(matrix @ x - b) / norms[channel])
-        if info != 0 or not np.isfinite(residual) or residual > tol:
-            raise SolverError(
-                f"BiCGStab stopped at relative residual {residual:.3e} "
-                f"(target {tol:.1e}) after {count['n']} iterations "
-                f"on channel {channel}",
-                residual=residual,
+            x, info = sparse_linalg.bicgstab(
+                matrix,
+                system._ordered_rhs([channel])[:, 0],
+                M=preconditioner,
+                maxiter=max_iter,
+                callback=_tick,
+                atol=0.0,
+                **{_ITERATIVE_TOL_KW: tol},
             )
-        solution[:, channel] = x[system.rank]
-        residuals[channel] = residual
-        iterations[channel] = count["n"]
+            residuals[channel] = _accept_block(
+                solution, system, [channel], x[:, None], norms, tol,
+                f"BiCGStab (info {info}) after {iterations[channel]} iterations",
+                info,
+            )[0]
     return solution, SolveReport(
-        "iterative", tuple(residuals), tuple(iterations), factor_bytes, reason
+        method, tuple(residuals.tolist()), tuple(iterations), factor_bytes, reason
     )
 
 

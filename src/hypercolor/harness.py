@@ -274,7 +274,8 @@ def _config_values(path=None, env=None, env_fields=None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 payload = json.load(handle)
-            except json.JSONDecodeError as exc:
+            # not UTF-8, not JSON, or an integer too long to convert
+            except ValueError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

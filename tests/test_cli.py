@@ -289,6 +289,8 @@ class TestConfigFlags:
             ["sweep-budget", "{cube}", "--ratios", "0", "--out", "{out}"],
             ["sweep-budget", "{cube}", "--ratios", "1.5", "--out", "{out}"],
             ["sweep-budget", "{cube}", "--ratios", "nan", "--out", "{out}"],
+            ["sample", "--pattern", "uniform-push", "--out", "{out}"],
+            ["sample", "--pattern", "guided-push", "--shape", "8x8", "--out", "{out}"],
         ],
     )
     def test_out_of_range_argument_is_usage_error(
@@ -327,14 +329,6 @@ class TestSample:
         )
         assert payload["shape"] == [16, 16]
         assert payload["mask_count"] > 0
-
-    def test_guided_without_guide_fails(self, tmp_path, capsys):
-        code, _ = run_cli(
-            capsys,
-            "sample", "--pattern", "guided-push", "--rate", "0.25",
-            "--shape", "8x8", "--out", str(tmp_path / "m.pbm"),
-        )
-        assert code == 3
 
     def test_bad_shape_is_usage_error(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -875,6 +869,32 @@ class TestMalformedInput:
         np.save(src, np.full((2, 2, 3), 0.5))
         assert_error(capsys, 2, "convert", str(src), str(tmp_path / "out.hsc"),
                      "--wavelengths", "400,abc,600")
+
+    # json.load raises a ValueError that is not a JSONDecodeError on bytes
+    # that are not UTF-8 and on an integer of more than 4300 digits
+    @pytest.mark.parametrize(
+        "content",
+        [np.random.default_rng(0).bytes(200), b'{"rows": 1' + b"0" * 5000 + b"}"],
+    )
+    def test_report_that_json_cannot_decode(self, tmp_path, capsys, content):
+        report = tmp_path / "bin.json"
+        report.write_bytes(content)
+        assert_error(capsys, 3, "export-plotdata", str(report),
+                     "--out", str(tmp_path / "o.csv"))
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # a UTF-16 file opens with the byte-order mark FF FE
+            b"\xff\xfe" + json.dumps({"rate": 0.1}).encode("utf-16-le"),
+            b'{"seed": 1' + b"0" * 5000 + b"}",
+        ],
+    )
+    def test_config_that_json_cannot_decode(self, tmp_path, capsys, cube_file, content):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        assert_error(capsys, 2, "pipeline", str(cube_file), "--config", str(config))
 
     @pytest.mark.parametrize(
         "rows", [[{"image": "scene"}], "not a list", [[1, 2]], [{"pattern": "x"}, 3]]

@@ -440,6 +440,63 @@ class TestSolve:
         assert isinstance(excinfo.value.residual, float)
         assert excinfo.value.residual > 1e-14
 
+    def test_direct_solve_raises_at_the_first_failing_channel(self, monkeypatch):
+        factor_lu = colorizer.sparse_linalg.splu
+
+        class PerturbedFactor:
+            """Solves exactly, except column 1 of a two-channel block."""
+
+            def __init__(self, *args, **kwargs):
+                self.factor = factor_lu(*args, **kwargs)
+
+            def solve(self, rhs):
+                solved = self.factor.solve(rhs)
+                if rhs.shape[1] == 2:
+                    solved[:, 1] += 1.0
+                return solved
+
+        monkeypatch.setattr(colorizer.sparse_linalg, "splu", PerturbedFactor)
+        # channels 0-7 form one block and pass, channels 8 and 9 the next
+        system = self.random_system(bands=10, seed=16)
+        with pytest.raises(SolverError, match="on channel 9$") as excinfo:
+            solve(system, method="direct")
+        assert excinfo.value.residual > 1e-7
+        assert colorizer._factor_bytes_in_use == 0
+
+    def test_iterative_solve_raises_unless_bicgstab_converged(self, monkeypatch):
+        system = self.random_system(seed=17)
+        factor = splu(system.ordered, permc_spec="NATURAL")
+
+        def exact_but_unconverged(matrix, rhs, **kwargs):
+            return factor.solve(rhs), 1
+
+        monkeypatch.setattr(colorizer.sparse_linalg, "bicgstab", exact_but_unconverged)
+        with pytest.raises(SolverError, match="info 1.* on channel 0$") as excinfo:
+            solve(system, method="iterative")
+        assert excinfo.value.residual <= 1e-7
+
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 1024), (1024, 64)])
+    def test_factor_estimate_bounds_the_superlu_factor(self, monkeypatch, shape):
+        # while SuperLU factors, its memory peaks at about 14 bytes per
+        # stored nonzero: a value, a row index and supernode bookkeeping
+        height, width = shape
+        rng = np.random.default_rng(18)
+        mask = scatter_mask(height, width, 0.04, seed=19)
+        system = build_system(
+            rng.random(shape), clues_of(shape, mask, rng.random((int(mask.sum()), 1)))
+        )
+        factor_lu = colorizer.sparse_linalg.splu
+        stored = []
+
+        def counting_splu(*args, **kwargs):
+            factor = factor_lu(*args, **kwargs)
+            stored.append(factor.L.nnz + factor.U.nnz)
+            return factor
+
+        monkeypatch.setattr(colorizer.sparse_linalg, "splu", counting_splu)
+        solve(system, method="direct")
+        assert stored[0] * 14 <= colorizer._estimate_factor_bytes(height * width)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             solve(self.random_system(), method="cholesky")
