@@ -29,6 +29,7 @@ from .harness import (
     PATTERNS,
     ExperimentConfig,
     _acquire,
+    _basis_shape,
     _config_values,
     _csv_text,
     _plan,
@@ -88,21 +89,13 @@ def _parse_wavelengths(text: str, bands: int) -> np.ndarray:
     return values
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, convert=float) -> list:
+    """Comma-separated values, each read by ``convert``: float or int."""
     try:
-        values = [float(token) for token in text.split(",") if token.strip()]
+        values = [convert(token) for token in text.split(",") if token.strip()]
     except ValueError:
-        raise ConfigError(f"{what} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{what} is empty")
-    return values
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise ConfigError(f"{what} expects comma-separated integers, got {text!r}") from None
+        kind = "integers" if convert is int else "numbers"
+        raise ConfigError(f"{what} expects comma-separated {kind}, got {text!r}") from None
     if not values:
         raise ConfigError(f"{what} is empty")
     return values
@@ -184,27 +177,9 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _check_rank(config: ExperimentConfig, bands: int) -> None:
-    if config.rank is not None and config.rank > bands:
-        raise ConfigError(f"rank {config.rank} exceeds the cube's {bands} bands")
-
-
-def _check_dims(dims, config: ExperimentConfig, bands: int) -> None:
-    """Candidate dimensions are distinct and within the rank the basis will have."""
-    if len(set(dims)) != len(dims):
-        raise ConfigError(f"--dims lists a candidate dimension twice: {list(dims)}")
-    rank = config.rank if config.rank is not None else bands
-    for dim in dims:
-        if not 1 <= dim <= rank:
-            raise ConfigError(f"--dims {dim} must be between 1 and the basis rank {rank}")
-
-
 def _harness_inputs(args) -> tuple[HyperCube, ExperimentConfig]:
     """The ground-truth cube and the run settings of a harness command."""
-    cube = formats.read_cube(args.cube)
-    config = _config_from_args(args)
-    _check_rank(config, cube.bands)
-    return cube, config
+    return formats.read_cube(args.cube), _config_from_args(args)
 
 
 def _add_harness_args(parser) -> None:
@@ -286,8 +261,8 @@ def _cmd_sample(args) -> int:
 def _cmd_basis_learn(args) -> int:
     config = _config_from_args(args)
     cubes = [formats.read_cube(path) for path in args.cubes]
-    _check_rank(config, cubes[0].bands)
-    basis = learn_basis(cubes, rank=config.rank)
+    rank, _bands = _basis_shape(cubes[0], config)
+    basis = learn_basis(cubes, rank=rank)
     formats.write_basis(basis, args.out)
     _print_json({"bands": basis.bands, "rank": basis.rank, "source": basis.source})
     return 0
@@ -412,15 +387,14 @@ def _emit_sweep(args, config, result) -> int:
 
 def _cmd_sweep_dim(args) -> int:
     cube, config = _harness_inputs(args)
-    dims = _parse_int_list(args.dims, "--dims")
-    _check_dims(dims, config, cube.bands)
-    budgets = _parse_float_list(args.budgets, "--budgets") if args.budgets else None
+    dims = _parse_list(args.dims, "--dims", int)
+    budgets = _parse_list(args.budgets, "--budgets") if args.budgets else None
     return _emit_sweep(args, config, grid_search_dimension(cube, config, dims, budgets))
 
 
 def _cmd_sweep_budget(args) -> int:
     cube, config = _harness_inputs(args)
-    ratios = _parse_float_list(args.ratios, "--ratios")
+    ratios = _parse_list(args.ratios, "--ratios")
     model = read_model(args.model) if args.model else None
     result = time_budget_sweep(
         cube, config, ratios, model=model, label=Path(args.cube).stem
@@ -438,10 +412,8 @@ def _cmd_compare_sampling(args) -> int:
 def _cmd_train_dim_model(args) -> int:
     cubes = [formats.read_cube(path) for path in args.cubes]
     config = _config_from_args(args)
-    budgets = _parse_float_list(args.budgets, "--budgets")
-    dims = _parse_int_list(args.dims, "--dims") if args.dims else None
-    for cube in cubes:
-        _check_dims(dims or (), config, cube.bands)
+    budgets = _parse_list(args.budgets, "--budgets")
+    dims = _parse_list(args.dims, "--dims", int) if args.dims else None
     result = train_dimension_model(cubes, config, budgets, dims)
     write_model(result.model, args.out)
     if args.report:

@@ -473,6 +473,16 @@ def _estimate_factor_bytes(pixels: int) -> int:
 _SOLVER_METHODS = ("auto", "direct", "iterative")
 
 
+def _check_solver(method: str, tol: float, max_iter: int) -> None:
+    """The checks :func:`solve` makes of its controls before any work."""
+    if method not in _SOLVER_METHODS:
+        raise ValidationError(f"unknown solver method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    if not max_iter >= 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def _choose_method(method: str, pixels: int) -> tuple[str, int, str]:
     """(method, estimated factor bytes, reason) for a ``pixels``-row system."""
     factor_bytes = _estimate_factor_bytes(pixels)
@@ -647,12 +657,7 @@ def solve(
         BiCGStab run does not report convergence; carries the achieved
         residual.
     """
-    if method not in _SOLVER_METHODS:
-        raise ValidationError(f"unknown solver method {method!r}")
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if not max_iter >= 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    _check_solver(method, tol, max_iter)
     matrix = system.ordered
     method, factor_bytes, reason = _choose_method(method, matrix.shape[0])
 
@@ -775,12 +780,16 @@ def luminance_rescale(
     return scaled, degenerate
 
 
+def _check_alpha(alpha) -> None:
+    """The check :func:`luminance_rescale` makes of a numeric ``alpha``."""
+    if alpha != "auto" and not 0 < float(alpha) < math.inf:
+        raise ValidationError(f"alpha must be positive, got {alpha}")
+
+
 def _resolve_alpha(alpha, guide_weights, recon_weights, denominator, guide_values):
+    _check_alpha(alpha)
     if alpha != "auto":
-        value = float(alpha)
-        if not np.isfinite(value) or value <= 0:
-            raise ValidationError(f"alpha must be positive, got {alpha}")
-        return value
+        return float(alpha)
     support = guide_weights > 0
     on_support = recon_weights[support]
     spread = float(on_support.max() - on_support.min())

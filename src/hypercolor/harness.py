@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .colorizer import _SOLVER_METHODS, _finish, _solve_coefficients, colorize
+from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse, _resolve_response
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import (
@@ -40,6 +40,7 @@ from .subspace import (
     DimensionModel,
     SpectralBasis,
     VarianceCurve,
+    _check_full_rank,
     estimate_dimension,
     fit_dimension_model,
     learn_basis,
@@ -83,6 +84,9 @@ class ExperimentConfig:
     pixel. ``dim`` picks the reconstruction dimension: an int, None for
     the full basis rank, or "auto" to take the variance-curve elbow (or a
     dimension model's prediction when one is supplied at run time).
+
+    Each field is checked here, alone; whether ``rank`` and ``dim`` fit a
+    cube is checked by each run on a cube before it simulates anything.
     """
 
     seed: int = 0
@@ -112,10 +116,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"guide_budget must be positive and finite, got {self.guide_budget}"
             )
-        # the sampling and noise fields are checked by the objects they build
+        if isinstance(self.rescale_alpha, str) and self.rescale_alpha != "auto":
+            raise ConfigError(
+                f'rescale_alpha must be a number or "auto", got {self.rescale_alpha!r}'
+            )
+        # the sampling, noise, solver and rescale fields are checked by the
+        # code that uses them
         try:
             _plan(self)
             _noise(self, self.time_budget)
+            _check_solver(self.solver, self.tol, self.max_iter)
+            _check_alpha(self.rescale_alpha)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
         if isinstance(self.dim, str):
@@ -130,16 +141,6 @@ class ExperimentConfig:
         if self.basis_source not in ("clues", "truth"):
             raise ConfigError(
                 f'basis_source must be "clues" or "truth", got {self.basis_source!r}'
-            )
-        if self.solver not in _SOLVER_METHODS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
-        if isinstance(self.rescale_alpha, str) and self.rescale_alpha != "auto":
-            raise ConfigError(
-                f'rescale_alpha must be a number or "auto", got {self.rescale_alpha!r}'
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
@@ -209,22 +210,13 @@ def _parse_optional(parser):
     return parse
 
 
-def _parse_dim(value, name):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("", "none"):
-            return None
-        if lowered == "auto":
+def _parse_auto(parser):
+    def parse(value, name):
+        if isinstance(value, str) and value.strip().lower() == "auto":
             return "auto"
-    return _parse_int(value, name)
+        return parser(value, name)
 
-
-def _parse_rescale_alpha(value, name):
-    if isinstance(value, str) and value.strip().lower() == "auto":
-        return "auto"
-    return _parse_float(value, name)
+    return parse
 
 
 _FIELD_PARSERS = {
@@ -237,14 +229,14 @@ _FIELD_PARSERS = {
     "pattern": _parse_str,
     "rate": _parse_float,
     "sample_alpha": _parse_float,
-    "dim": _parse_dim,
+    "dim": _parse_auto(_parse_optional(_parse_int)),
     "rank": _parse_optional(_parse_int),
     "basis_source": _parse_str,
     "edge_filter": _parse_bool,
     "solver": _parse_str,
     "tol": _parse_float,
     "max_iter": _parse_int,
-    "rescale_alpha": _parse_rescale_alpha,
+    "rescale_alpha": _parse_auto(_parse_float),
     "include_timing": _parse_bool,
     "workers": _parse_int,
 }
@@ -390,21 +382,38 @@ def _learn_pipeline_basis(cube, clues, config) -> SpectralBasis:
     return learn_basis(pseudo, rank=config.rank, source=f"clues:{clues.count}")
 
 
+def _basis_shape(cube, config, basis=None) -> tuple[int, int]:
+    """(rank, bands) of ``basis``, or of the basis ``config`` learns for ``cube``."""
+    if basis is not None:
+        return basis.rank, basis.bands
+    if config.rank is not None and config.rank > cube.bands:
+        raise ConfigError(f"rank {config.rank} exceeds the cube's {cube.bands} bands")
+    return config.rank or cube.bands, cube.bands
+
+
+def _check_dims(dims, rank: int, bands: int) -> None:
+    """Reject dimensions that a basis of ``rank`` of ``bands`` bands cannot give.
+
+    ``dims`` lists candidate dimensions, or holds one dim policy: an int,
+    None, or "auto", which only a full-rank basis allows.
+    """
+    if len(set(dims)) != len(dims):
+        raise ConfigError(f"duplicate candidate dimensions in {tuple(dims)}")
+    for dim in dims:
+        if dim == "auto":
+            _check_full_rank(rank, bands, 'dim "auto"', ConfigError)
+        elif dim is not None and not 1 <= dim <= rank:
+            raise ConfigError(f"dim {dim} must be between 1 and the basis rank {rank}")
+
+
 def _resolve_dimension(dim, clues, basis, model):
     """Reconstruction dimension for a dim policy: an int, "auto", or None."""
     if dim is None:
         return None
     if basis is None:
         raise ConfigError(f"dim {dim!r} needs a spectral basis")
-    if dim != "auto":
-        if not 1 <= dim <= basis.rank:
-            raise ConfigError(
-                f"dim {dim} must be between 1 and the basis rank {basis.rank}"
-            )
-        return int(dim)
-    if basis.rank != basis.bands:
-        raise ConfigError('dim "auto" needs a full-rank basis (leave rank unset)')
-    return estimate_dimension(clues, basis, model)[0]
+    _check_dims((dim,), basis.rank, basis.bands)
+    return estimate_dimension(clues, basis, model)[0] if dim == "auto" else int(dim)
 
 
 def run_pipeline(
@@ -438,6 +447,7 @@ def run_pipeline(
         Acquisition bookkeeping, solver diagnostics, the reconstructed
         cube and mask, and a MetricReport against the ground truth.
     """
+    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
     return _reconstruct(cube, config, basis=basis, model=model, response=response,
                         label=label)()
 
@@ -579,10 +589,6 @@ def _solve_budget(cube, config, dims, response):
     """
     guide, _mask, clues, _gt, _ct = _acquire(cube, config, response)
     basis = _learn_pipeline_basis(cube, clues, config)
-    if max(dims) > basis.rank:
-        raise ValidationError(
-            f"candidate dimension {max(dims)} exceeds basis rank {basis.rank}"
-        )
     solution, _report = _solve_coefficients(
         guide.values, clues, basis, max(dims), apply_edge_filter=config.edge_filter,
         method=config.solver, tol=config.tol, max_iter=config.max_iter,
@@ -625,13 +631,12 @@ def grid_search_dimension(
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValidationError("grid search needs at least one candidate dimension")
-    if len(set(dims)) != len(dims):
-        raise ValidationError(f"duplicate candidate dimensions in {dims}")
     budgets = (
         (config.time_budget,) if budgets is None else tuple(float(b) for b in budgets)
     )
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
+    _check_dims(dims, *_basis_shape(cube, config))
     resolved = _resolve_response(cube.wavelengths, response)
     outcomes = _sweep(
         lambda run_config: _solve_budget(cube, run_config, dims, resolved),
@@ -679,19 +684,20 @@ def train_dimension_model(
     budgets = [float(b) for b in budgets]
     if not cubes or not budgets:
         raise ValidationError("training needs at least one cube and one budget")
-    if config.rank is not None:
-        raise ConfigError(
-            "dimension training needs a full-rank basis (leave rank unset)"
-        )
+    candidates = [
+        tuple(dims) if dims is not None else tuple(range(2, cube.bands + 1))
+        for cube in cubes
+    ]
+    for cube, cube_dims in zip(cubes, candidates):
+        rank, bands = _basis_shape(cube, config)
+        _check_full_rank(rank, bands, "dimension training", ConfigError)
+        _check_dims(cube_dims, rank, bands)
 
     curves = []
     labels = []
     rows = []
-    for cube_index, cube in enumerate(cubes):
-        candidate_dims = (
-            tuple(dims) if dims is not None else tuple(range(2, cube.bands + 1))
-        )
-        search = grid_search_dimension(cube, config, candidate_dims, budgets)
+    for cube_index, (cube, cube_dims) in enumerate(zip(cubes, candidates)):
+        search = grid_search_dimension(cube, config, cube_dims, budgets)
         for budget, best, curve in zip(search.budgets, search.best_dims, search.curves):
             if curve is None:
                 raise ValidationError(
@@ -799,6 +805,7 @@ def time_budget_sweep(
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValidationError("sweep needs at least one sampling ratio")
+    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
     results = _sweep(
         lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
                                          label=label, histogram=True)],
@@ -825,6 +832,7 @@ def compare_sampling(
     patterns = tuple(patterns)
     if not patterns:
         raise ValidationError("comparison needs at least one pattern")
+    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
     results = _sweep(
         lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
                                          label=label)],

@@ -257,6 +257,12 @@ def _kneedle_elbow(log_explained: NDArrayF) -> int:
     return max(foot, 1)
 
 
+def _check_full_rank(rank: int, bands: int, what: str, error=ValidationError) -> None:
+    """Raise ``error`` unless a basis of ``rank`` directions spans its ``bands``."""
+    if rank != bands:
+        raise error(f"{what} needs a full-rank basis, got rank {rank} for {bands} bands")
+
+
 def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
     """Variance of clue coefficients along every direction of a full basis.
 
@@ -265,11 +271,7 @@ def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
     variance. The floor of the curve is what read and shot noise leave
     behind, so its log feeds dimension prediction alongside the elbow.
     """
-    if basis.rank != basis.bands:
-        raise ValidationError(
-            f"variance_curve needs a full-rank basis, got rank {basis.rank} "
-            f"for {basis.bands} bands"
-        )
+    _check_full_rank(basis.rank, basis.bands, "variance_curve")
     if clues.count < _MIN_CLUES_FOR_CURVE:
         raise ValidationError(
             f"variance_curve needs at least {_MIN_CLUES_FOR_CURVE} clues, "

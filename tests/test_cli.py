@@ -14,6 +14,7 @@ from hypercolor import (
     formats,
     make_guide,
 )
+from hypercolor import harness
 from hypercolor.cli import _CONFIG_FLAGS, main
 from hypercolor.harness import _FIELD_PARSERS, ExperimentConfig
 from hypercolor.sampling import SamplingPlan, build_mask
@@ -670,6 +671,15 @@ class TestPipeline:
         monkeypatch.setenv("HYPERCOLOR_RANK", "99")
         assert_error(capsys, 2, "pipeline", str(cube_file))
 
+    def test_scores_that_would_overflow_are_runtime_errors(
+        self, capsys, cube_file, monkeypatch
+    ):
+        # the squared difference of these finite cubes overflows
+        monkeypatch.setenv("HYPERCOLOR_RESCALE_ALPHA", "1e308")
+        assert main(["pipeline", str(cube_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, cube_file):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"bogus_knob": 1}))
@@ -800,6 +810,34 @@ class TestSweepCommands:
                      "--budgets", "0.5,1.0", "--dims", "2,99",
                      "--out", str(tmp_path / "model.json"))
         assert not (tmp_path / "model.json").exists()
+
+
+class TestSettingsAreCheckedBeforeSimulation:
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({"HYPERCOLOR_RESCALE_ALPHA": "-1"}, ["pipeline", "{cube}"]),
+            ({}, ["pipeline", "{cube}", "--dim", "9"]),
+            ({"HYPERCOLOR_RANK": "9"}, ["compare-sampling", "{cube}"]),
+            ({"HYPERCOLOR_RANK": "2"},
+             ["sweep-budget", "{cube}", "--ratios", "0.1", "--dim", "auto"]),
+            ({}, ["sweep-dim", "{cube}", "--dims", "2,9"]),
+            ({"HYPERCOLOR_RESCALE_ALPHA": "0"}, ["sweep-dim", "{cube}", "--dims", "2"]),
+            ({}, ["train-dim-model", "{cube}", "--budgets", "0.5", "--dims", "2,2",
+                  "--out", "{out}"]),
+        ],
+    )
+    def test_a_setting_that_does_not_fit_exits_2(
+        self, tmp_path, capsys, cube_file, monkeypatch, env, argv
+    ):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("simulated before the settings were checked")
+
+        monkeypatch.setattr(harness, "_acquire", refuse)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        paths = {"cube": cube_file, "out": tmp_path / "out"}
+        assert_error(capsys, 2, *[arg.format(**paths) for arg in argv])
 
 
 class TestEnvScoping:

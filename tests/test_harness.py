@@ -21,12 +21,14 @@ from hypercolor import (
     ExperimentConfig,
     HyperCube,
     MetricReport,
+    SolverError,
     ValidationError,
     VarianceCurve,
     compare_sampling,
     emd_map,
     export_plotdata,
     grid_search_dimension,
+    learn_basis,
     load_config,
     run_pipeline,
     time_budget_sweep,
@@ -119,6 +121,8 @@ class TestConfig:
             {"max_iter": 0},
             {"max_iter": float("nan")},
             {"rescale_alpha": "none"},
+            {"rescale_alpha": 0.0},
+            {"rescale_alpha": -1.0},
             {"workers": 0},
             {"sample_alpha": 2.0},
             {"rho": 0.0},
@@ -396,11 +400,11 @@ class TestGridSearch:
         config = fast_config(basis_source="truth")
         with pytest.raises(ValidationError):
             grid_search_dimension(cube, config, ())
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             grid_search_dimension(cube, config, (2, 2, 3))
         with pytest.raises(ValidationError):
             grid_search_dimension(cube, config, (2, 3), budgets=())
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             grid_search_dimension(cube, replace(config, rank=3), (2, 4))
 
 
@@ -452,6 +456,64 @@ class TestTraining:
             train_dimension_model([], fast_config(), budgets=(1.0,))
         with pytest.raises(ValidationError):
             train_dimension_model(self._cubes(), fast_config(), budgets=())
+
+
+def _refuse_acquisition(*_args, **_kwargs):
+    raise AssertionError("a run simulated its acquisition before checking its settings")
+
+
+# each run entry point, called on a 4-band cube with a config and the
+# candidate dims of a search
+_RUNS = {
+    "run_pipeline": lambda cube, config, dims: run_pipeline(cube, config),
+    "time_budget_sweep":
+        lambda cube, config, dims: time_budget_sweep(cube, config, (0.1, 0.2)),
+    "compare_sampling": lambda cube, config, dims: compare_sampling(cube, config),
+    "grid_search_dimension":
+        lambda cube, config, dims: grid_search_dimension(cube, config, dims),
+    "train_dimension_model": lambda cube, config, dims: train_dimension_model(
+        [cube, cube], config, (0.5, 1.0), dims),
+}
+_SEARCHES = ("grid_search_dimension", "train_dimension_model")
+# settings that do not fit a 4-band cube, as config overrides plus, for
+# the searches, candidate dims; the default dims (2, 3) fit
+_UNFIT_RUN = ({"rank": 5}, {"dim": 5}, {"dim": 3, "rank": 2},
+              {"dim": "auto", "rank": 2}, {"rescale_alpha": -1.0})
+_UNFIT_SEARCH = ({"rank": 5}, {"rank": 2}, {"rescale_alpha": 0.0},
+                 {"dims": (2, 5)}, {"dims": (0, 2)}, {"dims": (2, 3, 2)})
+
+
+class TestSettingsAreCheckedBeforeSimulation:
+    @pytest.mark.parametrize("entry, settings", [
+        (entry, settings) for entry in _RUNS
+        for settings in (_UNFIT_SEARCH if entry in _SEARCHES else _UNFIT_RUN)
+    ])
+    def test_a_setting_that_does_not_fit_the_cube(self, monkeypatch, entry, settings):
+        monkeypatch.setattr(harness, "_acquire", _refuse_acquisition)
+        cube = random_cube(12, 12, 4, rank=3, seed=24)
+        overrides = dict(settings)
+        dims = overrides.pop("dims", (2, 3))
+        with pytest.raises(ConfigError):
+            _RUNS[entry](cube, fast_config(**overrides), dims)
+
+    def test_a_given_basis_sets_the_rank(self, monkeypatch):
+        monkeypatch.setattr(harness, "_acquire", _refuse_acquisition)
+        cube = random_cube(12, 12, 4, rank=3, seed=24)
+        basis = learn_basis(cube, rank=2)
+        with pytest.raises(ConfigError, match="basis rank 2"):
+            run_pipeline(cube, fast_config(dim=3), basis=basis)
+        with pytest.raises(ConfigError, match="full-rank"):
+            compare_sampling(cube, fast_config(dim="auto"), basis=basis)
+
+    def test_training_checks_every_cube_before_its_first_search(self, monkeypatch):
+        monkeypatch.setattr(harness, "_acquire", _refuse_acquisition)
+        wide = random_cube(12, 12, 6, rank=3, seed=24)
+        narrow = random_cube(12, 12, 4, rank=3, seed=25)
+        with pytest.raises(ConfigError, match="dim 5"):
+            train_dimension_model([wide, narrow], fast_config(), (1.0,), (2, 5))
+        # the dims fit, but a truncated basis gives no variance curve
+        with pytest.raises(ConfigError, match="full-rank"):
+            train_dimension_model([wide, narrow], fast_config(rank=3), (1.0,), (2, 3))
 
 
 class TestSweeps:
@@ -680,8 +742,8 @@ class TestStagedPool:
 
     def test_a_real_first_stage_failure_reaches_the_caller(self):
         cube = random_cube(20, 20, 5, rank=3, seed=9)
-        config = fast_config(basis_source="truth", rank=3, workers=2)
-        with pytest.raises(ValidationError, match="exceeds basis rank"):
+        config = fast_config(solver="iterative", max_iter=1, workers=2)
+        with pytest.raises(SolverError, match="BiCGStab"):
             grid_search_dimension(cube, config, (2, 4), budgets=(0.5, 1.0, 2.0))
 
     def test_at_most_workers_threads_run_pool_work(self):

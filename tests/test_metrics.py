@@ -511,13 +511,12 @@ class TestEvaluate:
         truth = random_cube(12, 12, 4, seed=17)
         rng = np.random.default_rng(18)
         recon = np.clip(truth.data + rng.normal(0, 0.05, truth.data.shape), 0, None)
-        report = evaluate(truth, recon, wall_ms=3.5)
+        report = evaluate(truth, recon)
         assert report.psnr_db == psnr(truth, recon)
         assert report.ssim == ssim(truth, recon)
         assert report.gfc == gfc(truth, recon)
         assert report.ssv == ssv(truth, recon)
         assert report.emd == emd(truth, recon)
-        assert report.wall_ms == 3.5
 
     def test_validates_the_pair_once(self, monkeypatch):
         truth = random_cube(12, 12, 4, seed=19)
@@ -538,5 +537,10 @@ class TestEvaluate:
         bad[3, 4, 1] = np.inf
         with pytest.raises(ValidationError, match="finite"):
             evaluate(truth, bad)
+        # finite, but the squared difference overflows
+        with pytest.raises(ValidationError, match="magnitude"):
+            evaluate(truth, truth.data + 1e200)
+        with pytest.raises(ValidationError, match="magnitude"):
+            psnr(truth.data * -1e200, truth)
         with pytest.raises(ValidationError, match="3-d"):
             evaluate(truth.data[:, :, 0], truth.data[:, :, 0])
