@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     _acquire,
     _basis_shape,
+    _check_dims,
     _config_values,
     _csv_text,
     _plan,
@@ -297,6 +298,7 @@ def _cmd_estimate_dim(args) -> int:
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis)
     model = read_model(args.model) if args.model is not None else None
+    _check_dims(("auto",), basis.rank, basis.bands)
     dim, curve = estimate_dimension(clues, basis, model)
     _print_json({
         "dimension": dim,

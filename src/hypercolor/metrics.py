@@ -1,9 +1,10 @@
 """Reconstruction quality metrics and their report container.
 
 All metrics compare a reconstruction against ground truth and reduce to a
-single scalar. Spatial quality comes from PSNR and mean SSIM; spectral
-quality from per-pixel cosine similarity, a combined RMSE/correlation
-score, and the earth mover's distance between normalized spectra.
+single scalar. Spatial quality comes from PSNR and mean SSIM, which
+equals the four-blur formula within rounding; spectral quality from
+per-pixel cosine similarity, a combined RMSE/correlation score, and the
+earth mover's distance between normalized spectra.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._filters import gaussian_kernel_1d
 from .core import HyperCube
@@ -33,13 +35,10 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-_SSIM_BLOCK_BANDS = 8
-# bytes of one stacked tile of the four maps: small enough that a blur
-# step's operands stay in a core's L2 cache, large enough that numpy's
-# per-call cost stays small beside the arithmetic
-_SSIM_TILE_BYTES = 384 * 1024
-# tiles per window of formed input rows; each refill copies the halo rows
-_SSIM_WINDOW_TILES = 4
+# output rows and columns one tap-matrix product blurs: the banded matrices
+# multiply few zeros (14 or 26 taps for 11), yet each spans every band
+_SSIM_TILE_ROWS = 4
+_SSIM_BLOCK_COLS = 16
 _MASS_FLOOR = 1e-12
 # pixels per block of the per-pixel spectral metrics
 _BLOCK_PIXELS = 4096
@@ -110,13 +109,9 @@ def ssim(truth, recon) -> float:
 
     Each band's local means and second moments come from four separable
     blurs: of the truth, of the reconstruction, of ``a*a + b*b`` (the
-    variance denominator needs only the sum) and of ``a*b``. The blurs run
-    in blocks of 8 bands over row tiles of the band-last arrays, one
-    vectorized shift-and-add per tap, and evaluate only the valid windows.
-    They add the taps in the order ``scipy.ndimage.correlate1d`` does, rows
-    first and then columns, and each band's map is averaged in the order of
-    a full-size map's interior view, so the score equals that four-blur
-    ``correlate1d`` formula bit for bit.
+    variance denominator needs only the sum) and of ``a*b``. Each pass is
+    a BLAS product with a banded matrix of the taps, so the score equals
+    that four-blur formula within rounding, whatever the thread count.
     """
     return _ssim(*_paired_arrays(truth, recon))
 
@@ -136,49 +131,65 @@ def _ssim(t, r) -> float:
         raise ValidationError("SSIM needs a positive truth peak")
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
-    kernel = gaussian_kernel_1d(_SSIM_SIGMA, _SSIM_WINDOW // 2)
-    scores = []
-    for start in range(0, t.shape[2], _SSIM_BLOCK_BANDS):
-        block = slice(start, start + _SSIM_BLOCK_BANDS)
-        scores.extend(_ssim_band_means(t[:, :, block], r[:, :, block], kernel, c1, c2))
-    return float(np.mean(scores))
+    windows = (t.shape[0] - _SSIM_WINDOW + 1) * (t.shape[1] - _SSIM_WINDOW + 1)
+    return float(np.mean(_ssim_band_sums(t, r, c1, c2) / windows))
 
 
-def _ssim_band_means(t, r, kernel, c1, c2) -> list:
-    """Mean SSIM of each band of a band-last ``(H, W, bands)`` pair.
+def _ssim_band_sums(t, r, c1, c2) -> np.ndarray:
+    """Each band's SSIM map of a band-last ``(H, W, bands)`` pair, summed.
 
-    The four maps of a tile of output rows and its halo sit stacked in one
-    array, so each blur step is one numpy call for all of them. The maps
-    of each input row are formed once: a window holds several tiles, and
-    when it is full its last halo rows move to its top.
+    The map is made a tile of output rows at a time: each of its four maps
+    is blurred down the rows by one tap-matrix product over all columns and
+    bands, then across by one batched product over blocks of columns. The
+    maps ``a*a + b*b`` and ``a*b`` of each input row are formed once, into
+    a window of rows; the rows a tile still needs move to the window's top.
     """
-    margin = kernel.size // 2
-    halo = 2 * margin
+    kernel = gaussian_kernel_1d(_SSIM_SIGMA, _SSIM_WINDOW // 2)
+    halo = kernel.size - 1
     height, width, bands = t.shape
     valid_h, valid_w = height - halo, width - halo
-    rows = max(1, min(valid_h, _SSIM_TILE_BYTES // (4 * width * bands * 8)))
-    span = min(valid_h, max(_SSIM_WINDOW_TILES * rows, halo))
-    window = np.empty((4, span + halo, width, bands))
-    down = np.empty((4, rows, width, bands))
-    moments = np.empty((4, rows, valid_w, bands))
-    scratch = np.empty(down.size)
-    # numpy sums a contiguous array in one pairwise pass but a row-strided
-    # view row by row; a spare column per row keeps each band's map the
-    # row-strided view that a full-size map's interior is
-    maps = np.empty((bands, valid_h, valid_w + 1))
-    _ssim_inputs(t[:halo], r[:halo], window[:, :halo])
-    start = 0  # the output row whose window begins at window row 0
-    for top in range(0, valid_h, rows):
-        n = min(rows, valid_h - top)
-        if top + n > start + span:
-            window[:, :halo] = window[:, top - start : top - start + halo]
-            start = top
-        at = top - start
-        fresh = slice(top + halo, top + halo + n)
-        _ssim_inputs(t[fresh], r[fresh], window[:, at + halo : at + halo + n])
-        along_rows = _blur_valid(window[:, at : at + halo + n], down[:, :n], scratch, kernel, 1)
-        mu_a, mu_b, sum_sq, cross = _blur_valid(along_rows, moments[:, :n], scratch, kernel, 2)
-        mu_aa, mu_bb = scratch[: 2 * mu_a.size].reshape((2,) + mu_a.shape)
+    tile = min(_SSIM_TILE_ROWS, valid_h)
+    block = min(_SSIM_BLOCK_COLS, valid_w)
+    down = _tap_matrix(kernel, tile).T
+    across = _tap_matrix(kernel, block).T
+    a_rows, b_rows = t.reshape(height, -1), r.reshape(height, -1)
+    # rows a tile keeps never overlap the rows they move to, which would
+    # make numpy copy them through a temporary
+    span = min(height, 2 * (tile + halo))
+    window = np.empty((2, span, width * bands))
+    # per map: blurred down the rows as (column, band, tile row), then
+    # across the columns as (band, tile row, column)
+    along_rows = np.empty((4, width, bands * tile))
+    moments = np.empty((4, bands * tile, valid_w))
+    mu_aa, mu_bb = np.empty((2, bands * tile, valid_w))
+    blocks = sliding_window_view(along_rows, block + halo, axis=1)
+    whole = valid_w - valid_w % block
+    whole_out = moments[:, :, :whole].reshape(4, -1, whole // block, block).transpose(0, 2, 1, 3)
+    sums = np.zeros(bands)
+    start = end = 0  # the window holds the maps of input rows [start, end)
+    for top in range(0, valid_h, tile):
+        # a short last tile moves up to end at the last row; the rows the
+        # tile before it scored are not summed again
+        scored = max(0, top + tile - valid_h)
+        top -= scored
+        if top + tile + halo > end:
+            keep = end - top
+            window[:, :keep] = window[:, top - start : end - start]
+            start, end = top, min(top + span, height)
+            a, b = a_rows[start + keep : end], b_rows[start + keep : end]
+            sum_sq, cross = window[:, keep : end - start]
+            np.multiply(a, a, out=sum_sq)
+            np.multiply(b, b, out=cross)
+            np.add(sum_sq, cross, out=sum_sq)
+            np.multiply(a, b, out=cross)
+        rows = slice(top, top + tile + halo)
+        at = slice(top - start, top - start + tile + halo)
+        for source, out in zip((a_rows[rows], b_rows[rows], *window[:, at]), along_rows):
+            np.matmul(source.T, down, out=out.reshape(-1, tile))
+        np.matmul(blocks[:, :whole:block], across, out=whole_out)
+        if whole < valid_w:
+            np.matmul(blocks[:, valid_w - block], across, out=moments[:, :, valid_w - block :])
+        mu_a, mu_b, sum_sq, cross = moments
         np.multiply(mu_a, mu_a, out=mu_aa)
         np.multiply(mu_b, mu_b, out=mu_bb)
         mu_ab = np.multiply(mu_a, mu_b, out=mu_b)
@@ -196,42 +207,15 @@ def _ssim_band_means(t, r, kernel, c1, c2) -> list:
         np.multiply(cov, 2, out=cov)
         np.add(cov, c2, out=cov)
         np.multiply(numer, cov, out=numer)
-        np.divide(numer, denom, out=maps[:, top : top + n, :valid_w].transpose(1, 2, 0))
-    return [float(maps[band, :, :valid_w].mean()) for band in range(bands)]
+        ssim_map = np.divide(numer, denom, out=numer).reshape(bands, tile, valid_w)
+        sums += ssim_map[:, scored:].sum(axis=(1, 2))
+    return sums
 
 
-def _ssim_inputs(a, b, out):
-    """Stack ``a``, ``b``, ``a*a + b*b`` and ``a*b`` into ``out``."""
-    out[0] = a
-    out[1] = b
-    np.multiply(out[:2], out[:2], out=out[2:])
-    np.add(out[2], out[3], out=out[2])
-    np.multiply(out[0], out[1], out=out[3])
-
-
-def _blur_valid(src, out, scratch, kernel, axis):
-    """``correlate1d`` of ``src`` along ``axis`` with a symmetric kernel,
-    at the positions whose window lies inside ``src``.
-
-    Like ``scipy.ndimage.correlate1d``, each output is the centre tap's
-    product plus ``(x[i - j] + x[i + j]) * w[j]`` for j from the kernel
-    radius down to 1, so the valid part equals its result bit for bit.
-    ``scratch`` is a flat buffer of at least ``out.size`` elements.
-    """
-    margin = kernel.size // 2
-    n = out.shape[axis]
-    scratch = scratch[: out.size].reshape(out.shape)
-    lead = (slice(None),) * axis
-
-    def tap(offset):
-        return src[lead + (slice(margin + offset, margin + offset + n),)]
-
-    np.multiply(tap(0), kernel[margin], out=out)
-    for j in range(margin, 0, -1):
-        np.add(tap(-j), tap(j), out=scratch)
-        np.multiply(scratch, kernel[margin - j], out=scratch)
-        np.add(out, scratch, out=out)
-    return out
+def _tap_matrix(kernel, n) -> np.ndarray:
+    """The ``(n, n + kernel.size - 1)`` matrix whose product with ``n``
+    rows and their halo correlates them with ``kernel``."""
+    return np.array([np.roll(np.pad(kernel, (0, n - 1)), i) for i in range(n)])
 
 
 def _per_pixel(t, r, score) -> np.ndarray:
@@ -249,16 +233,33 @@ def _per_pixel(t, r, score) -> np.ndarray:
     return values
 
 
+def _rows_where(valid, *arrays):
+    """The rows of each array that ``valid`` selects: the arrays
+    themselves, not copies, when it selects every row."""
+    if valid.all():
+        return arrays
+    return tuple(a[valid] for a in arrays)
+
+
+def _scatter(valid, values, fill):
+    """A column of ``fill`` with ``values`` at the rows ``valid`` selects."""
+    if valid.all():
+        return values
+    out = np.full(valid.shape, fill)
+    out[valid] = values
+    return out
+
+
 def _gfc_block(t, r):
     """Absolute cosine per pixel; NaN where the truth spectrum is zero."""
     norm_t = np.linalg.norm(t, axis=1)
     norm_r = np.linalg.norm(r, axis=1)
     valid = norm_t > 0
-    dots = np.abs(np.einsum("ij,ij->i", t[valid], r[valid]))
-    denom = norm_t[valid] * norm_r[valid]
-    values = np.full(t.shape[0], np.nan)
-    values[valid] = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return values
+    t, r, norm_t, norm_r = _rows_where(valid, t, r, norm_t, norm_r)
+    dots = np.abs(np.einsum("ij,ij->i", t, r))
+    denom = norm_t * norm_r
+    scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
+    return _scatter(valid, scores, np.nan)
 
 
 def gfc(truth, recon) -> float:
@@ -287,9 +288,9 @@ def _ssv_block(t, r):
     spread_t = np.linalg.norm(t_c, axis=1)
     spread_r = np.linalg.norm(r_c, axis=1)
     both = (spread_t > 0) & (spread_r > 0)
-    corr = np.ones(t.shape[0])
-    pairs = np.einsum("ij,ij->i", t_c[both], r_c[both])
-    corr[both] = np.clip(pairs / (spread_t[both] * spread_r[both]), -1.0, 1.0)
+    t_c, r_c, spread_t, spread_r = _rows_where(both, t_c, r_c, spread_t, spread_r)
+    pairs = np.einsum("ij,ij->i", t_c, r_c)
+    corr = _scatter(both, np.clip(pairs / (spread_t * spread_r), -1.0, 1.0), 1.0)
     return np.sqrt(rmse_sq + (1.0 - corr * corr))
 
 
@@ -314,13 +315,9 @@ def _emd_block(t, r):
     mass_t = t.sum(axis=1)
     mass_r = r.sum(axis=1)
     valid = (mass_t >= _MASS_FLOOR) & (mass_r >= _MASS_FLOOR)
-    values = np.full(t.shape[0], np.nan)
-    if valid.any():
-        p = t[valid] / mass_t[valid, None]
-        q = r[valid] / mass_r[valid, None]
-        cdf_gap = np.cumsum(p - q, axis=1)
-        values[valid] = np.abs(cdf_gap).sum(axis=1) / (bands - 1)
-    return values
+    t, r, mass_t, mass_r = _rows_where(valid, t, r, mass_t, mass_r)
+    cdf_gap = np.cumsum(t / mass_t[:, None] - r / mass_r[:, None], axis=1)
+    return _scatter(valid, np.abs(cdf_gap).sum(axis=1) / (bands - 1), np.nan)
 
 
 def emd(truth, recon) -> float:

@@ -446,6 +446,18 @@ class TestBasis:
         )
         assert payload["dimension"] == 6
 
+    @pytest.mark.parametrize("command", [["estimate-dim"], ["basis", "estimate-dim"]])
+    def test_truncated_basis_is_usage_error(
+        self, tmp_path, capsys, cube_file, clue_file, command
+    ):
+        # the same rule as colorize --dim auto, with the same exit code
+        basis_path = tmp_path / "basis.hsb"
+        run_json(capsys, "basis", "learn", str(cube_file), "--rank", "2",
+                 "--out", str(basis_path))
+        assert main([*command, "--clues", str(clue_file), "--basis", str(basis_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == 'error: dim "auto" needs a full-rank basis, got rank 2 for 4 bands\n'
+
 
 class TestColorize:
     def _artifacts(self, tmp_path, capsys, cube_file, rate="0.25"):
