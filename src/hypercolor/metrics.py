@@ -141,8 +141,7 @@ def _ssim_band_sums(t, r, c1, c2) -> np.ndarray:
     The map is made a tile of output rows at a time: each of its four maps
     is blurred down the rows by one tap-matrix product over all columns and
     bands, then across by one batched product over blocks of columns. The
-    maps ``a*a + b*b`` and ``a*b`` of each input row are formed once, into
-    a window of rows; the rows a tile still needs move to the window's top.
+    maps ``a*a + b*b`` and ``a*b`` are formed for each tile's rows and halo.
     """
     kernel = gaussian_kernel_1d(_SSIM_SIGMA, _SSIM_WINDOW // 2)
     halo = kernel.size - 1
@@ -153,10 +152,8 @@ def _ssim_band_sums(t, r, c1, c2) -> np.ndarray:
     down = _tap_matrix(kernel, tile).T
     across = _tap_matrix(kernel, block).T
     a_rows, b_rows = t.reshape(height, -1), r.reshape(height, -1)
-    # rows a tile keeps never overlap the rows they move to, which would
-    # make numpy copy them through a temporary
-    span = min(height, 2 * (tile + halo))
-    window = np.empty((2, span, width * bands))
+    # a*a + b*b and a*b of a tile's rows and halo
+    sq_rows, cross_rows = np.empty((2, tile + halo, width * bands))
     # per map: blurred down the rows as (column, band, tile row), then
     # across the columns as (band, tile row, column)
     along_rows = np.empty((4, width, bands * tile))
@@ -166,25 +163,18 @@ def _ssim_band_sums(t, r, c1, c2) -> np.ndarray:
     whole = valid_w - valid_w % block
     whole_out = moments[:, :, :whole].reshape(4, -1, whole // block, block).transpose(0, 2, 1, 3)
     sums = np.zeros(bands)
-    start = end = 0  # the window holds the maps of input rows [start, end)
     for top in range(0, valid_h, tile):
         # a short last tile moves up to end at the last row; the rows the
         # tile before it scored are not summed again
         scored = max(0, top + tile - valid_h)
         top -= scored
-        if top + tile + halo > end:
-            keep = end - top
-            window[:, :keep] = window[:, top - start : end - start]
-            start, end = top, min(top + span, height)
-            a, b = a_rows[start + keep : end], b_rows[start + keep : end]
-            sum_sq, cross = window[:, keep : end - start]
-            np.multiply(a, a, out=sum_sq)
-            np.multiply(b, b, out=cross)
-            np.add(sum_sq, cross, out=sum_sq)
-            np.multiply(a, b, out=cross)
         rows = slice(top, top + tile + halo)
-        at = slice(top - start, top - start + tile + halo)
-        for source, out in zip((a_rows[rows], b_rows[rows], *window[:, at]), along_rows):
+        a, b = a_rows[rows], b_rows[rows]
+        np.multiply(a, a, out=sq_rows)
+        np.multiply(b, b, out=cross_rows)
+        np.add(sq_rows, cross_rows, out=sq_rows)
+        np.multiply(a, b, out=cross_rows)
+        for source, out in zip((a, b, sq_rows, cross_rows), along_rows):
             np.matmul(source.T, down, out=out.reshape(-1, tile))
         np.matmul(blocks[:, :whole:block], across, out=whole_out)
         if whole < valid_w:
@@ -233,33 +223,13 @@ def _per_pixel(t, r, score) -> np.ndarray:
     return values
 
 
-def _rows_where(valid, *arrays):
-    """The rows of each array that ``valid`` selects: the arrays
-    themselves, not copies, when it selects every row."""
-    if valid.all():
-        return arrays
-    return tuple(a[valid] for a in arrays)
-
-
-def _scatter(valid, values, fill):
-    """A column of ``fill`` with ``values`` at the rows ``valid`` selects."""
-    if valid.all():
-        return values
-    out = np.full(valid.shape, fill)
-    out[valid] = values
-    return out
-
-
 def _gfc_block(t, r):
     """Absolute cosine per pixel; NaN where the truth spectrum is zero."""
     norm_t = np.linalg.norm(t, axis=1)
-    norm_r = np.linalg.norm(r, axis=1)
-    valid = norm_t > 0
-    t, r, norm_t, norm_r = _rows_where(valid, t, r, norm_t, norm_r)
+    denom = norm_t * np.linalg.norm(r, axis=1)
     dots = np.abs(np.einsum("ij,ij->i", t, r))
-    denom = norm_t * norm_r
     scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return _scatter(valid, scores, np.nan)
+    return np.where(norm_t > 0, scores, np.nan)
 
 
 def gfc(truth, recon) -> float:
@@ -288,9 +258,9 @@ def _ssv_block(t, r):
     spread_t = np.linalg.norm(t_c, axis=1)
     spread_r = np.linalg.norm(r_c, axis=1)
     both = (spread_t > 0) & (spread_r > 0)
-    t_c, r_c, spread_t, spread_r = _rows_where(both, t_c, r_c, spread_t, spread_r)
     pairs = np.einsum("ij,ij->i", t_c, r_c)
-    corr = _scatter(both, np.clip(pairs / (spread_t * spread_r), -1.0, 1.0), 1.0)
+    spread = np.where(both, spread_t * spread_r, 1.0)
+    corr = np.where(both, np.clip(pairs / spread, -1.0, 1.0), 1.0)
     return np.sqrt(rmse_sq + (1.0 - corr * corr))
 
 
@@ -315,9 +285,10 @@ def _emd_block(t, r):
     mass_t = t.sum(axis=1)
     mass_r = r.sum(axis=1)
     valid = (mass_t >= _MASS_FLOOR) & (mass_r >= _MASS_FLOOR)
-    t, r, mass_t, mass_r = _rows_where(valid, t, r, mass_t, mass_r)
-    cdf_gap = np.cumsum(t / mass_t[:, None] - r / mass_r[:, None], axis=1)
-    return _scatter(valid, np.abs(cdf_gap).sum(axis=1) / (bands - 1), np.nan)
+    p = t / np.where(valid, mass_t, 1.0)[:, None]
+    q = r / np.where(valid, mass_r, 1.0)[:, None]
+    cdf_gap = np.cumsum(p - q, axis=1)
+    return np.where(valid, np.abs(cdf_gap).sum(axis=1) / (bands - 1), np.nan)
 
 
 def emd(truth, recon) -> float:
