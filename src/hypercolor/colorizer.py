@@ -13,7 +13,6 @@ guide.
 from __future__ import annotations
 
 import ctypes
-import inspect
 import math
 import threading
 import time
@@ -26,7 +25,9 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from ._filters import gaussian_kernel_1d, sobel_gradients, window_count, window_sum
-from .core import ClueSet, HyperCube, SpectralResponse, _guide_values
+from .core import (
+    ClueSet, HyperCube, SpectralResponse, _guide_values, _resolve_response,
+)
 from .errors import SolverError, ValidationError
 from .subspace import SpectralBasis, project, unproject
 
@@ -78,12 +79,6 @@ _SOLVE_BLOCK = 8
 # bounds the process; a factor that does not fit beside the others waits
 _FACTOR_ROOM = threading.Condition()
 _factor_bytes_in_use = 0
-
-_ITERATIVE_TOL_KW = (
-    "rtol"
-    if "rtol" in inspect.signature(sparse_linalg.bicgstab).parameters
-    else "tol"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +679,8 @@ def solve(
                 M=preconditioner,
                 maxiter=max_iter,
                 callback=_tick,
+                rtol=tol,
                 atol=0.0,
-                **{_ITERATIVE_TOL_KW: tol},
             )
             residuals[channel] = _accept_block(
                 solution, system, [channel], x[:, None], norms, tol,
@@ -701,45 +696,24 @@ def solve(
 # Luminance rescale
 
 
-def _flat_response(bands: int) -> np.ndarray:
-    return np.full(bands, 1.0 / bands)
-
-
-def _response_weights(response, bands: int, what: str) -> np.ndarray:
-    if response is None:
-        return _flat_response(bands)
-    if isinstance(response, SpectralResponse):
-        weights = response.weights
-    else:
-        weights = np.asarray(response, dtype=np.float64)
-        total = weights.sum()
-        if weights.ndim != 1 or np.any(weights < 0) or total <= 0:
-            raise ValidationError(f"{what} must be nonnegative with positive sum")
-        weights = weights / total
-    if weights.size != bands:
-        raise ValidationError(
-            f"{what} covers {weights.size} bands, reconstruction has {bands}"
-        )
-    return weights
-
-
 def luminance_rescale(
     recon,
     guide,
-    response_guide=None,
-    response_recon=None,
+    response_guide: SpectralResponse | None = None,
     alpha="auto",
 ):
     """Rescale reconstructed spectra so brightness follows the guide.
 
     Every pixel's spectrum is multiplied by alpha * guide / denominator,
     where the denominator is the absolute spectrum weighted by the ratio
-    of the guide response to the reconstruction response. Responses
-    default to flat. With ``alpha="auto"`` the scale is chosen so any cube
-    already consistent with its guide is a fixed point (the reciprocal of
-    the reconstruction response on the guide response's support when that
-    is constant, otherwise a global least-squares calibration). Pixels
-    whose denominator falls below 1e-12 are left unscaled and flagged.
+    of the guide response to the reconstruction's flat response. The
+    guide response defaults to uniform weight over the visible window of
+    a HyperCube's wavelengths, as in :func:`make_guide`; a bare-array
+    reconstruction has no wavelengths and needs a SpectralResponse. With
+    ``alpha="auto"`` the scale is the reciprocal of the flat response,
+    about the band count, so any cube already consistent with its guide
+    is a fixed point. Pixels whose denominator falls below 1e-12 are left
+    unscaled and flagged.
 
     Returns ``(rescaled, degenerate_mask)``; the first mirrors the input
     type (HyperCube in, HyperCube out), the mask marks flagged pixels.
@@ -754,19 +728,17 @@ def luminance_rescale(
             f"guide shape {values.shape} does not match reconstruction {data.shape[:2]}"
         )
     bands = data.shape[2]
-    guide_weights = _response_weights(response_guide, bands, "guide response")
-    recon_weights = _response_weights(response_recon, bands, "reconstruction response")
+    response = _resolve_response(
+        recon.wavelengths if is_cube else None, response_guide, bands
+    )
+    _check_alpha(alpha)
 
-    support = guide_weights > 0
-    if np.any(support & (recon_weights <= 0)):
-        raise ValidationError(
-            "reconstruction response vanishes inside the guide response support"
-        )
-    ratio = np.zeros(bands)
-    ratio[support] = guide_weights[support] / recon_weights[support]
-
+    # the reconstruction's response is flat; "auto" is its reciprocal,
+    # 1 / (1 / bands), which can differ from bands in the last bit
+    flat = 1.0 / bands
+    ratio = response.weights / flat
     denominator = np.abs(data) @ ratio
-    scale_alpha = _resolve_alpha(alpha, guide_weights, recon_weights, denominator, values)
+    scale_alpha = 1.0 / flat if alpha == "auto" else float(alpha)
     degenerate = denominator < _DEGENERATE_DENOMINATOR
     # per-pixel gain alpha * guide / denominator, kept as numerator and
     # denominator planes so each value rounds as (alpha * guide * x) / d;
@@ -784,23 +756,6 @@ def _check_alpha(alpha) -> None:
     """The check :func:`luminance_rescale` makes of a numeric ``alpha``."""
     if alpha != "auto" and not 0 < float(alpha) < math.inf:
         raise ValidationError(f"alpha must be positive, got {alpha}")
-
-
-def _resolve_alpha(alpha, guide_weights, recon_weights, denominator, guide_values):
-    _check_alpha(alpha)
-    if alpha != "auto":
-        return float(alpha)
-    support = guide_weights > 0
-    on_support = recon_weights[support]
-    spread = float(on_support.max() - on_support.min())
-    if spread <= 1e-9 * float(on_support.max()):
-        return 1.0 / float(on_support[0])
-    # non-constant reconstruction response: no exact fixed point exists,
-    # fall back to the least-squares scale tying denominator to guide
-    weight = float(np.dot(guide_values.ravel(), guide_values.ravel()))
-    if weight <= 0:
-        return 1.0
-    return float(np.dot(denominator.ravel(), guide_values.ravel()) / weight)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +785,7 @@ def _solve_coefficients(
 
 
 def _finish(
-    spectra, values, wavelengths, *, response_guide=None, alpha="auto",
+    spectra, values, wavelengths, *, response_guide: SpectralResponse, alpha="auto",
 ) -> tuple[HyperCube, int]:
     """Second stage of :func:`colorize`: rescale and clamp.
 
@@ -865,7 +820,7 @@ def colorize(
     dim: int | None = None,
     *,
     apply_edge_filter: bool = True,
-    response_guide=None,
+    response_guide: SpectralResponse | None = None,
     rescale_alpha="auto",
     method: str = "auto",
     tol: float = 1e-7,
@@ -889,8 +844,10 @@ def colorize(
         Number of basis directions to keep; requires ``basis``.
     apply_edge_filter : bool
         Pre-filter clues toward their off-edge neighborhoods first.
-    response_guide : SpectralResponse or array, optional
-        Guide response used by the brightness rescale; default flat.
+    response_guide : SpectralResponse, optional
+        Guide response the brightness rescale weighs bands by. Defaults
+        to uniform weight over the visible window of the clue
+        wavelengths, the response :func:`make_guide` draws a guide with.
     rescale_alpha : float or "auto"
         Scale of the brightness rescale.
     method, tol, max_iter : solver controls, see :func:`solve`.
@@ -906,6 +863,7 @@ def colorize(
     values = _guide_values(guide)
     if dim is not None and basis is None:
         raise ValidationError("dim was given without a basis")
+    response = _resolve_response(clues.wavelengths, response_guide)
     solution, report = _solve_coefficients(
         values, clues, basis, dim, apply_edge_filter=apply_edge_filter,
         canny_low=canny_low, canny_high=canny_high,
@@ -916,7 +874,7 @@ def colorize(
     spectra = unproject(solution, basis) if basis is not None else solution
     del solution
     cube, degenerate_pixels = _finish(
-        spectra, values, clues.wavelengths, response_guide=response_guide,
+        spectra, values, clues.wavelengths, response_guide=response,
         alpha=rescale_alpha,
     )
     wall_ms = (time.perf_counter() - start) * 1e3

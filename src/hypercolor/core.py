@@ -215,25 +215,41 @@ class SpectralResponse:
 
 
 def _resolve_response(
-    wavelengths: NDArrayF, response: SpectralResponse | None
+    wavelengths: NDArrayF | None, response, bands: int | None = None
 ) -> SpectralResponse:
+    """The response a guide over these bands is drawn with: ``response``,
+    or by default uniform weight over the visible window of ``wavelengths``.
+
+    Data with no wavelength axis passes ``wavelengths=None`` and its band
+    count ``bands``; it needs an explicit response. Raises ValidationError
+    for anything but a SpectralResponse or None, and for a response whose
+    length is not the band count.
+    """
     if response is None:
+        if wavelengths is None:
+            raise ValidationError(
+                "data without wavelengths needs an explicit SpectralResponse"
+            )
         return SpectralResponse.visible_flat(wavelengths)
-    if response.weights.size != wavelengths.size:
+    if not isinstance(response, SpectralResponse):
         raise ValidationError(
-            f"response covers {response.weights.size} bands, cube has {wavelengths.size}"
+            f"response must be a SpectralResponse or None, got {type(response).__name__}"
+        )
+    if wavelengths is not None:
+        bands = wavelengths.size
+    if response.weights.size != bands:
+        raise ValidationError(
+            f"response covers {response.weights.size} bands, cube has {bands}"
         )
     return response
 
 
 def _guide_values(guide) -> NDArrayF:
-    """Pixel values of a GuideImage or of any 2-d array."""
+    """Pixel values of a GuideImage, or of a 2-d array checked as a
+    GuideImage checks them: numeric, finite and non-empty."""
     if isinstance(guide, GuideImage):
         return guide.values
-    values = np.asarray(guide, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError(f"guide must be a 2-d image, got shape {values.shape}")
-    return values
+    return GuideImage(guide).values
 
 
 def make_guide(cube: HyperCube, response: SpectralResponse | None = None) -> GuideImage:

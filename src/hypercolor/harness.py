@@ -786,6 +786,20 @@ def _sweep(stage, config: ExperimentConfig, field: str, values) -> list[list]:
                      config.workers)
 
 
+def _pipeline_sweep(cube, config, field, values, empty_error, *, basis, model,
+                    label, histogram=False) -> SweepResult:
+    """One pipeline run with ``field`` set to each of ``values``, in order."""
+    if not values:
+        raise ValidationError(empty_error)
+    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
+    results = _sweep(
+        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
+                                         label=label, histogram=histogram)],
+        config, field, values,
+    )
+    return SweepResult(tuple(scored for (scored,) in results))
+
+
 def time_budget_sweep(
     cube: HyperCube,
     config: ExperimentConfig,
@@ -802,16 +816,11 @@ def time_budget_sweep(
     noisier exposures. Every run's row carries a per-pixel EMD histogram
     (50 bins over [0, 1]) for distribution plots.
     """
-    ratios = [float(r) for r in ratios]
-    if not ratios:
-        raise ValidationError("sweep needs at least one sampling ratio")
-    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
-    results = _sweep(
-        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
-                                         label=label, histogram=True)],
-        config, "rate", ratios,
+    return _pipeline_sweep(
+        cube, config, "rate", [float(r) for r in ratios],
+        "sweep needs at least one sampling ratio",
+        basis=basis, model=model, label=label, histogram=True,
     )
-    return SweepResult(tuple(scored for (scored,) in results))
 
 
 def compare_sampling(
@@ -829,16 +838,11 @@ def compare_sampling(
     pixels shared between two masks receive identical measurements and the
     comparison isolates the pattern itself.
     """
-    patterns = tuple(patterns)
-    if not patterns:
-        raise ValidationError("comparison needs at least one pattern")
-    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
-    results = _sweep(
-        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
-                                         label=label)],
-        config, "pattern", patterns,
+    return _pipeline_sweep(
+        cube, config, "pattern", tuple(patterns),
+        "comparison needs at least one pattern",
+        basis=basis, model=model, label=label,
     )
-    return SweepResult(tuple(scored for (scored,) in results))
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,25 @@ class TestColorize:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_clues_outside_the_visible_window_are_runtime_error(
+        self, tmp_path, capsys, guide_file
+    ):
+        cube = random_cube(16, 16, 4, rank=3, seed=21)
+        cube = HyperCube(cube.data, np.linspace(720.0, 900.0, 4))
+        from hypercolor import cube_to_clues
+
+        clues = tmp_path / "infrared.hsclue"
+        formats.write_clues(cube_to_clues(cube, scatter_mask(16, 16, 0.3)), clues)
+        out = tmp_path / "r.hsc"
+        code = main([
+            "colorize", "--guide", str(guide_file), "--clues", str(clues),
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "visible window" in err
+        assert not out.exists()
+
     def test_missing_clue_file(self, tmp_path, capsys, guide_file):
         code, _ = run_cli(
             capsys,

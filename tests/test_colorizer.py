@@ -23,6 +23,7 @@ from hypercolor import (
     HyperCube,
     NEIGHBOR_OFFSETS,
     SolverError,
+    SpectralResponse,
     ValidationError,
     affinity_weights,
     build_system,
@@ -731,8 +732,9 @@ class TestLuminanceRescale:
     def test_zero_spectrum_pixel_flagged_and_passed(self):
         data = np.full((3, 3, 2), 0.5)
         data[1, 1] = 0.0
+        flat = SpectralResponse(wavelengths_for(2), np.ones(2))
         rescaled, degenerate = luminance_rescale(
-            data, np.full((3, 3), 0.25), alpha=1.0
+            data, np.full((3, 3), 0.25), response_guide=flat, alpha=1.0
         )
         assert degenerate.sum() == 1 and degenerate[1, 1]
         assert np.array_equal(rescaled[1, 1], [0.0, 0.0])
@@ -741,7 +743,10 @@ class TestLuminanceRescale:
         recon = random_cube(9, 8, 4, seed=33).data.copy()
         recon[2, 3] = 0.0
         guide = make_guide(random_cube(9, 8, 4, seed=34)).values
-        rescaled, degenerate = luminance_rescale(recon, guide, alpha=1.7)
+        flat = SpectralResponse(wavelengths_for(4), np.ones(4))
+        rescaled, degenerate = luminance_rescale(
+            recon, guide, response_guide=flat, alpha=1.7
+        )
         # flat responses: the denominator is the summed absolute spectrum
         denominator = np.abs(recon) @ np.ones(4)
         flagged = denominator < 1e-12
@@ -759,19 +764,6 @@ class TestLuminanceRescale:
         double = luminance_rescale(recon, guide, alpha=2.0)[0].data
         assert np.allclose(double, 2.0 * single, atol=1e-12)
 
-    def test_auto_alpha_least_squares_path(self):
-        recon = random_cube(8, 8, 3, seed=23)
-        guide = make_guide(recon)
-        response_recon = np.array([0.5, 0.3, 0.2])
-        rescaled, _ = luminance_rescale(recon, guide, response_recon=response_recon)
-        ratio = (1.0 / 3.0) / response_recon
-        denominator = np.abs(recon.data) @ ratio
-        alpha = float(
-            (denominator * guide.values).sum() / (guide.values**2).sum()
-        )
-        expected = alpha * guide.values[:, :, None] * recon.data / denominator[:, :, None]
-        assert np.allclose(rescaled.data, expected, atol=1e-12)
-
     def test_alpha_validation(self):
         recon = random_cube(4, 4, 2)
         guide = make_guide(recon)
@@ -780,16 +772,38 @@ class TestLuminanceRescale:
         with pytest.raises(ValidationError):
             luminance_rescale(recon, guide, alpha=-2.0)
 
-    def test_response_support_mismatch_rejected(self):
+    def test_guide_response_defaults_to_the_visible_window(self):
+        cube = random_cube(6, 7, 5, seed=35)
+        cube = HyperCube(cube.data, np.linspace(620.0, 780.0, 5))
+        rescaled, _ = luminance_rescale(cube, make_guide(cube))
+        np.testing.assert_allclose(rescaled.data, cube.data, rtol=1e-12, atol=0)
+
+    def test_bare_array_needs_a_response(self):
+        recon = random_cube(4, 4, 3)
+        with pytest.raises(ValidationError, match="SpectralResponse"):
+            luminance_rescale(recon.data, make_guide(recon))
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, 0.5], [0.2, 0.3, 0.4, 0.1],
+    ])
+    def test_bad_response_rejected(self, weights):
         recon = random_cube(4, 4, 3)
         guide = make_guide(recon)
         with pytest.raises(ValidationError):
-            luminance_rescale(
-                recon,
-                guide,
-                response_guide=np.array([0.5, 0.5, 0.0]),
-                response_recon=np.array([1.0, 0.0, 0.0]),
-            )
+            luminance_rescale(recon, guide, response_guide=np.array(weights))
+        if np.all(np.isfinite(weights)):
+            response = SpectralResponse(wavelengths_for(len(weights)), weights)
+            for data in (recon, recon.data):
+                with pytest.raises(ValidationError, match="covers"):
+                    luminance_rescale(data, guide, response_guide=response)
+
+    def test_non_finite_guide_rejected(self):
+        recon = random_cube(4, 4, 3)
+        guide = make_guide(recon).values.copy()
+        guide[2, 1] = np.nan
+        flat = SpectralResponse(recon.wavelengths, np.ones(3))
+        with pytest.raises(ValidationError, match="guide values contains non-finite"):
+            luminance_rescale(recon.data, guide, response_guide=flat)
 
 
 class TestColorize:
@@ -832,6 +846,29 @@ class TestColorize:
         result = colorize(make_guide(cube), clues, basis=basis, dim=2)
         assert len(result.residuals) == 2
         assert result.cube.bands == 5
+
+    @pytest.mark.parametrize("response, nan_guide", [
+        (np.array([0.5, np.nan, 0.5]), False),
+        (np.array([0.5, np.inf, 0.5]), False),
+        (np.ones(3), False),
+        (SpectralResponse(wavelengths_for(4), np.ones(4)), False),
+        (None, True),
+    ], ids=["nan", "inf", "array", "length", "nan guide"])
+    def test_bad_guide_side_input_rejected_before_any_work(
+        self, monkeypatch, response, nan_guide
+    ):
+        cube = random_cube(8, 8, 3, seed=37)
+        guide = make_guide(cube).values.copy()
+        if nan_guide:
+            guide[3, 4] = np.nan
+        calls = []
+        for stage in ("edge_filter", "build_system"):
+            monkeypatch.setattr(
+                colorizer, stage, lambda *args, _stage=stage, **kw: calls.append(_stage)
+            )
+        with pytest.raises(ValidationError):
+            colorize(guide, full_clues(cube), response_guide=response)
+        assert calls == []
 
     def test_dim_without_basis_rejected(self):
         cube = random_cube(8, 8, 3)

@@ -191,6 +191,11 @@ class TestMakeGuide:
         with pytest.raises(ValidationError):
             make_guide(cube, resp)
 
+    def test_rejects_a_bare_weight_array(self):
+        cube = random_cube(2, 2, 4)
+        with pytest.raises(ValidationError, match="SpectralResponse"):
+            make_guide(cube, np.ones(4))
+
 
 class TestImportBandStack:
     def test_eight_bit_full_scale_maps_to_one(self):

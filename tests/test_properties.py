@@ -25,10 +25,12 @@ from hypercolor import (  # noqa: E402
     affinity_weights,
     build_system,
     clues_to_cube,
+    colorize,
     cube_to_clues,
     formats,
     learn_basis,
     luminance_rescale,
+    make_guide,
     simulate_clues,
     solve,
 )
@@ -126,6 +128,33 @@ def test_luminance_rescale_fixes_a_cube_its_guide_agrees_with(cube):
     guide = GuideImage(cube.data.mean(axis=2))
     rescaled, _degenerate = luminance_rescale(cube, guide, alpha="auto")
     np.testing.assert_allclose(rescaled.data, cube.data, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 10), st.integers(2, 10)),
+    field_seed=st.integers(0, 2**32 - 1),
+    spectrum=arrays(np.float64, st.integers(2, 8), elements=st.floats(0.05, 1.0)),
+    first_nm=st.floats(400.0, 690.0),
+    last_nm=st.floats(705.0, 1000.0),
+)
+# the README's 31 bands over 420-720 nm
+@example(
+    shape=(16, 16), field_seed=0, spectrum=np.linspace(0.2, 1.0, 31),
+    first_nm=420.0, last_nm=720.0,
+)
+def test_colorize_recovers_a_fully_sampled_rank_one_cube(
+    shape, field_seed, spectrum, first_nm, last_nm
+):
+    # the span straddles 700 nm, so the guide's visible window covers only
+    # some of the bands, and the rescale must weigh them as the guide does
+    field = np.random.default_rng(field_seed).uniform(0.1, 1.0, shape)
+    cube = HyperCube(
+        field[:, :, None] * spectrum, np.linspace(first_nm, last_nm, spectrum.size)
+    )
+    clues = cube_to_clues(cube, np.ones(shape, dtype=bool))
+    result = colorize(make_guide(cube), clues, apply_edge_filter=False)
+    np.testing.assert_allclose(result.cube.data, cube.data, rtol=1e-12, atol=0)
 
 
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 20))

@@ -242,6 +242,13 @@ class TestPlanAndDispatch:
         with pytest.raises(ValidationError):
             build_mask(SamplingPlan("guided-push", 0.1), shape=(8, 8))
 
+    @pytest.mark.parametrize("pattern", ["guided-push", "guided-whisk"])
+    def test_non_finite_guide_rejected(self, pattern):
+        guide = textured_guide(seed=7)
+        guide[10, 20] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            build_mask(SamplingPlan(pattern, 0.1), guide=guide)
+
     def test_needs_shape_or_guide(self):
         with pytest.raises(ValidationError):
             build_mask(SamplingPlan("random", 0.1))
