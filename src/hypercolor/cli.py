@@ -14,8 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -339,10 +337,7 @@ def _cmd_colorize(args) -> int:
 def _cmd_metrics(args) -> int:
     truth = formats.read_cube(args.truth)
     recon = formats.read_cube(args.recon)
-    start = time.perf_counter()
-    report = evaluate(truth, recon)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    payload = replace(report, wall_ms=wall_ms).to_dict(args.include_timing)
+    payload = evaluate(truth, recon).to_dict(args.include_timing)
     if args.format == "csv":
         sys.stdout.write(_csv_text(CSV_COLUMNS, [_metric_cells(payload)]))
     else:
@@ -355,25 +350,23 @@ def _cmd_pipeline(args) -> int:
     model = read_model(args.model) if args.model else None
     result = run_pipeline(cube, config, model=model, label=Path(args.cube).stem)
 
-    # artifacts land together or not at all
-    written = []
+    # artifacts land together or not at all; a failure removes only the
+    # files whose writes started, never one this run did not write
+    started = []
     try:
         if args.out_cube:
+            started.append(args.out_cube)
             formats.write_cube(result.recon, args.out_cube)
-            written.append(args.out_cube)
         if args.out_mask:
+            started.append(args.out_mask)
             formats.write_mask(result.mask, args.out_mask)
-            written.append(args.out_mask)
         if args.out_report:
+            started.append(args.out_report)
             write_json(result, args.out_report, config.include_timing)
-            written.append(args.out_report)
     except BaseException:
-        _remove_partial(written + [
-            p for p in (args.out_cube, args.out_mask, args.out_report)
-            if p and p not in written
-        ])
+        _remove_partial(started)
         raise
-    _print_json(result.to_dict())
+    _print_json(result.to_dict(config.include_timing))
     return 0
 
 

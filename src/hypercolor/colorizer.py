@@ -15,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -802,7 +801,12 @@ def _finish(
 
 @dataclass
 class ColorizeResult:
-    """Reconstruction plus its solver and rescale diagnostics."""
+    """Reconstruction plus its solver and rescale diagnostics.
+
+    ``residuals`` and ``iterations`` hold one entry per solved channel,
+    and ``degenerate_pixels`` counts the pixels the rescale left unscaled.
+    ``run_pipeline`` and ``evaluate`` keep the run and scoring times.
+    """
 
     cube: HyperCube
     residuals: tuple[float, ...]
@@ -810,7 +814,6 @@ class ColorizeResult:
     solver_method: str
     dimension: int | None
     degenerate_pixels: int
-    wall_ms: float
 
 
 def colorize(
@@ -859,11 +862,11 @@ def colorize(
     ColorizeResult
         The clamped nonnegative cube plus solver diagnostics.
     """
-    start = time.perf_counter()
     values = _guide_values(guide)
     if dim is not None and basis is None:
         raise ValidationError("dim was given without a basis")
     response = _resolve_response(clues.wavelengths, response_guide)
+    _check_alpha(rescale_alpha)
     solution, report = _solve_coefficients(
         values, clues, basis, dim, apply_edge_filter=apply_edge_filter,
         canny_low=canny_low, canny_high=canny_high,
@@ -877,7 +880,6 @@ def colorize(
         spectra, values, clues.wavelengths, response_guide=response,
         alpha=rescale_alpha,
     )
-    wall_ms = (time.perf_counter() - start) * 1e3
     return ColorizeResult(
         cube=cube,
         residuals=report.residuals,
@@ -885,5 +887,4 @@ def colorize(
         solver_method=report.method,
         dimension=dim if basis is not None else None,
         degenerate_pixels=degenerate_pixels,
-        wall_ms=wall_ms,
     )

@@ -222,8 +222,9 @@ def _resolve_response(
 
     Data with no wavelength axis passes ``wavelengths=None`` and its band
     count ``bands``; it needs an explicit response. Raises ValidationError
-    for anything but a SpectralResponse or None, and for a response whose
-    length is not the band count.
+    for anything but a SpectralResponse or None, for a response whose
+    length is not the band count, and for one whose wavelengths are not
+    the data's.
     """
     if response is None:
         if wavelengths is None:
@@ -241,6 +242,8 @@ def _resolve_response(
         raise ValidationError(
             f"response covers {response.weights.size} bands, cube has {bands}"
         )
+    if wavelengths is not None and not np.array_equal(response.wavelengths, wavelengths):
+        raise ValidationError("response wavelengths differ from the data's wavelengths")
     return response
 
 

@@ -313,9 +313,7 @@ class PipelineResult:
     emd_histogram: tuple[int, ...] | None = None
     wall_ms: float = 0.0
 
-    def to_dict(self, include_timing: bool | None = None) -> dict:
-        if include_timing is None:
-            include_timing = self.config.include_timing
+    def to_dict(self, include_timing: bool = False) -> dict:
         out = {
             "image": self.image,
             "pattern": self.config.pattern,
@@ -498,13 +496,9 @@ def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="
 
 
 def _score(cube, run: dict, seconds, histogram) -> PipelineResult:
-    """``run_pipeline``'s second stage: score a reconstruction, ``seconds`` in.
-
-    The report's ``wall_ms`` is the time the five scores took.
-    """
+    """``run_pipeline``'s second stage: score a reconstruction, ``seconds`` in."""
     start = time.perf_counter()
     report, emd_values = _evaluate_with_emd_values(cube, run["recon"])
-    report = replace(report, wall_ms=(time.perf_counter() - start) * 1e3)
     counts = None
     if histogram:
         finite = emd_values[np.isfinite(emd_values)]
@@ -533,14 +527,6 @@ class DimensionSearchResult:
     reports: tuple[tuple[MetricReport, ...], ...]
     best_dims: tuple[int, ...]
     curves: tuple[VarianceCurve | None, ...]
-
-    @property
-    def best_dim(self) -> int:
-        if len(self.budgets) != 1:
-            raise ValidationError(
-                "best_dim is only defined for single-budget searches; use best_dims"
-            )
-        return self.best_dims[0]
 
     def rows(self, include_timing: bool = False) -> list[dict]:
         out = []
@@ -734,11 +720,11 @@ class SweepResult:
 
     results: tuple[PipelineResult, ...]
 
-    def to_rows(self, include_timing: bool | None = None) -> list[dict]:
-        return [result.to_dict(include_timing) for result in self.results]
-
-    def to_dict(self, include_timing: bool | None = None) -> dict:
-        return {"kind": "sweep", "rows": self.to_rows(include_timing)}
+    def to_dict(self, include_timing: bool = False) -> dict:
+        return {
+            "kind": "sweep",
+            "rows": [result.to_dict(include_timing) for result in self.results],
+        }
 
 
 def _run_many(tasks, workers: int) -> list[list]:

@@ -10,6 +10,7 @@ earth mover's distance between normalized spectra.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,9 +330,9 @@ class MetricReport:
     """One reconstruction's scores.
 
     ``to_dict`` is the one serialized form: JSON reports embed it and CSV
-    rows take their metric cells from it. ``wall_ms`` is carried for
-    inspection but serializes as 0.0 unless timing is explicitly included,
-    so written reports stay byte-identical across runs.
+    rows take their metric cells from it. ``wall_ms``, the time the scores
+    took, serializes as 0.0 unless timing is explicitly included, so
+    written reports stay byte-identical across runs.
     """
 
     psnr_db: float
@@ -365,13 +366,15 @@ def _metric_cells(metrics: dict) -> list:
 def evaluate(truth, recon) -> MetricReport:
     """All five metrics of a reconstruction against its ground truth.
 
-    The pair is validated once, then scored by each metric in turn.
+    The pair is validated once, then scored by each metric in turn. The
+    report's ``wall_ms`` is the time this took.
     """
     return _evaluate_with_emd_values(truth, recon)[0]
 
 
 def _evaluate_with_emd_values(truth, recon):
     """``evaluate``'s report and the flat per-pixel EMD values it averaged."""
+    start = time.perf_counter()
     t, r = _paired_arrays(truth, recon)
     emd_values = _per_pixel(t, r, _emd_block)
     report = MetricReport(
@@ -380,5 +383,6 @@ def _evaluate_with_emd_values(truth, recon):
         gfc=_gfc(t, r),
         ssv=_ssv(t, r),
         emd=_emd_mean(emd_values),
+        wall_ms=(time.perf_counter() - start) * 1e3,
     )
     return report, emd_values

@@ -191,21 +191,11 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
     return data @ vectors
 
 
-def unproject(coefficients, basis: SpectralBasis):
-    """Map coefficients back to spectra; the inverse of :func:`project` on
-    the subspace the retained directions span."""
-    if isinstance(coefficients, ClueSet):
-        spectra = unproject(coefficients.spectra, basis)
-        return ClueSet(
-            coefficients.height,
-            coefficients.width,
-            basis.wavelengths,
-            coefficients.mask,
-            spectra,
-        )
+def unproject(coefficients, basis: SpectralBasis) -> NDArrayF:
+    """Map a coefficient-axis-last array back to spectra; the inverse of
+    :func:`project` on the subspace the retained directions span."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    dim = coefficients.shape[-1]
-    vectors = _leading_vectors(basis, dim)
+    vectors = _leading_vectors(basis, coefficients.shape[-1])
     return coefficients @ vectors.T
 
 
@@ -308,12 +298,10 @@ class DimensionModel:
                 f"clamp bounds [{self.clamp_min}, {self.clamp_max}] are invalid"
             )
 
-    def predict(self, curve) -> int:
-        """Predicted dimension, rounded half-up and clamped to the bounds."""
-        if isinstance(curve, VarianceCurve):
-            elbow, log_min = float(curve.elbow_index), curve.log_min_variance
-        else:
-            elbow, log_min = float(curve[0]), float(curve[1])
+    def predict(self, curve: VarianceCurve) -> int:
+        """Dimension predicted from a curve's elbow and log noise floor,
+        rounded half-up and clamped to the bounds."""
+        elbow, log_min = float(curve.elbow_index), curve.log_min_variance
         value = (
             self.intercept
             + self.elbow * elbow
@@ -339,47 +327,34 @@ def _feature_matrix(elbows: NDArrayF, log_mins: NDArrayF) -> NDArrayF:
     )
 
 
-def fit_dimension_model(
-    curves, labels, clamp_max: int | None = None
-) -> DimensionModel:
+def fit_dimension_model(curves, labels) -> DimensionModel:
     """Least-squares fit of the quadratic dimension predictor.
 
     Parameters
     ----------
-    curves : sequence of VarianceCurve, or (n, 2) array
-        Training features; arrays carry (elbow, log_min_variance) rows.
+    curves : sequence of VarianceCurve
+        Training clue variance curves; each gives its elbow and log noise
+        floor.
     labels : sequence of int
-        Best reconstruction dimension observed for each training point.
-    clamp_max : int, optional
-        Upper clamp for predictions. Defaults to the band count of the
-        curves; required when raw feature rows are passed.
+        Best reconstruction dimension observed for each curve.
+
+    The model clamps its predictions to [2, the first curve's dimension
+    count].
     """
+    curves = list(curves)
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 1:
         raise ValidationError("labels must be a 1-d sequence")
-    if isinstance(curves, np.ndarray):
-        features = np.asarray(curves, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != 2:
-            raise ValidationError(f"feature array must be (n, 2), got {features.shape}")
-        if clamp_max is None:
-            raise ValidationError("clamp_max is required with raw feature rows")
-        elbows, log_mins = features[:, 0], features[:, 1]
-    else:
-        curves = list(curves)
-        if clamp_max is None:
-            if not curves:
-                raise ValidationError("no training curves given")
-            clamp_max = curves[0].dimensions
-        elbows = np.array([float(c.elbow_index) for c in curves])
-        log_mins = np.array([c.log_min_variance for c in curves])
-    if elbows.size != labels.size:
+    if len(curves) != labels.size:
         raise ValidationError(
-            f"{elbows.size} training curves but {labels.size} labels"
+            f"{len(curves)} training curves but {labels.size} labels"
         )
-    if elbows.size < _MIN_TRAINING_PAIRS:
+    if len(curves) < _MIN_TRAINING_PAIRS:
         raise ValidationError(
-            f"need at least {_MIN_TRAINING_PAIRS} training pairs, got {elbows.size}"
+            f"need at least {_MIN_TRAINING_PAIRS} training pairs, got {len(curves)}"
         )
+    elbows = np.array([float(c.elbow_index) for c in curves])
+    log_mins = np.array([c.log_min_variance for c in curves])
     design = _feature_matrix(elbows, log_mins)
     coefficients, *_ = np.linalg.lstsq(design, labels, rcond=None)
     return DimensionModel(
@@ -390,7 +365,7 @@ def fit_dimension_model(
         log_min_variance_sq=float(coefficients[4]),
         elbow_x_log_min_variance=float(coefficients[5]),
         clamp_min=2,
-        clamp_max=int(clamp_max),
+        clamp_max=curves[0].dimensions,
     )
 
 

@@ -654,6 +654,25 @@ class TestPipeline:
         assert code == 3
         assert not out_cube.exists()
 
+    def test_failed_run_keeps_files_it_did_not_write(self, tmp_path, capsys, cube_file):
+        old_report = tmp_path / "old.json"
+        old_report.write_text("an earlier report\n")
+        code, _ = run_cli(
+            capsys,
+            "pipeline", str(cube_file), "--rate", "0.25",
+            "--out-mask", str(tmp_path / "missing" / "mask.pbm"),
+            "--out-report", str(old_report),
+        )
+        assert code == 3
+        assert old_report.read_text() == "an earlier report\n"
+
+    def test_include_timing_prints_the_times(self, capsys, cube_file):
+        args = ("pipeline", str(cube_file), "--rate", "0.25")
+        row = run_json(capsys, *args, "--include-timing")
+        assert row["wall_ms"] > 0.0 and row["metrics"]["wall_ms"] > 0.0
+        row = run_json(capsys, *args)
+        assert row["wall_ms"] == 0.0 and row["metrics"]["wall_ms"] == 0.0
+
     def test_cli_flags_override_config_file(self, tmp_path, capsys, cube_file):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"rate": 0.1, "seed": 5}))

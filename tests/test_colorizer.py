@@ -797,6 +797,15 @@ class TestLuminanceRescale:
                 with pytest.raises(ValidationError, match="covers"):
                     luminance_rescale(data, guide, response_guide=response)
 
+    def test_response_over_other_wavelengths_rejected(self):
+        recon = random_cube(4, 4, 3)
+        guide = make_guide(recon)
+        response = SpectralResponse(np.linspace(800.0, 900.0, 3), np.ones(3))
+        with pytest.raises(ValidationError, match="wavelengths differ"):
+            luminance_rescale(recon, guide, response_guide=response)
+        # a bare array has no wavelengths to compare, only a band count
+        luminance_rescale(recon.data, guide, response_guide=response)
+
     def test_non_finite_guide_rejected(self):
         recon = random_cube(4, 4, 3)
         guide = make_guide(recon).values.copy()
@@ -837,7 +846,6 @@ class TestColorize:
         assert len(result.residuals) == 3 and len(result.iterations) == 3
         assert result.dimension is None
         assert result.degenerate_pixels >= 0
-        assert result.wall_ms > 0
 
     def test_channel_count_follows_dim(self):
         cube = random_cube(12, 12, 5, seed=31)
@@ -852,8 +860,9 @@ class TestColorize:
         (np.array([0.5, np.inf, 0.5]), False),
         (np.ones(3), False),
         (SpectralResponse(wavelengths_for(4), np.ones(4)), False),
+        (SpectralResponse(np.linspace(800.0, 900.0, 3), np.ones(3)), False),
         (None, True),
-    ], ids=["nan", "inf", "array", "length", "nan guide"])
+    ], ids=["nan", "inf", "array", "length", "wavelengths", "nan guide"])
     def test_bad_guide_side_input_rejected_before_any_work(
         self, monkeypatch, response, nan_guide
     ):
@@ -868,6 +877,14 @@ class TestColorize:
             )
         with pytest.raises(ValidationError):
             colorize(guide, full_clues(cube), response_guide=response)
+        assert calls == []
+
+    def test_bad_alpha_rejected_before_any_work(self, monkeypatch):
+        cube = random_cube(8, 8, 3, seed=37)
+        calls = []
+        monkeypatch.setattr(colorizer, "build_system", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValidationError, match="alpha"):
+            colorize(make_guide(cube), full_clues(cube), rescale_alpha=-1.0)
         assert calls == []
 
     def test_dim_without_basis_rejected(self):

@@ -196,6 +196,12 @@ class TestMakeGuide:
         with pytest.raises(ValidationError, match="SpectralResponse"):
             make_guide(cube, np.ones(4))
 
+    def test_rejects_a_response_over_other_wavelengths(self):
+        cube = HyperCube(random_cube(2, 2, 31).data, np.linspace(420.0, 720.0, 31))
+        resp = SpectralResponse(np.linspace(800.0, 900.0, 31), np.ones(31))
+        with pytest.raises(ValidationError, match="wavelengths differ"):
+            make_guide(cube, resp)
+
 
 class TestImportBandStack:
     def test_eight_bit_full_scale_maps_to_one(self):

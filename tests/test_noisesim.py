@@ -6,6 +6,7 @@ from hypercolor import (
     MAX_POISSON_MEAN,
     HyperCube,
     NoiseParams,
+    SpectralResponse,
     ValidationError,
     simulate_clues,
     simulate_guide,
@@ -175,6 +176,12 @@ class TestValidation:
         cube = HyperCube(np.full((2, 2, 2), -0.1), [400.0, 500.0])
         with pytest.raises(ValidationError):
             simulate_guide(cube, params())
+
+    def test_response_over_other_wavelengths_rejected(self):
+        cube = random_cube(4, 4, 5)
+        resp = SpectralResponse(np.linspace(800.0, 900.0, 5), np.ones(5))
+        with pytest.raises(ValidationError, match="wavelengths differ"):
+            simulate_guide(cube, params(), resp)
 
     def test_guide_uses_response_weights(self):
         cube = constant_cube(4, 4, [0.2, 0.8])

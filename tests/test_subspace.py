@@ -11,6 +11,7 @@ from hypercolor import (
     learn_basis,
     project,
     read_model,
+    VarianceCurve,
     unproject,
     variance_curve,
     write_model,
@@ -115,9 +116,8 @@ class TestProjection:
         assert low.spectra.shape == (49, 2)
         assert np.array_equal(low.wavelengths, [1.0, 2.0])
         assert np.array_equal(low.mask, clues.mask)
-        back = unproject(low, basis)
-        assert np.array_equal(back.wavelengths, cube.wavelengths)
-        assert back.spectra.shape == (49, 4)
+        back = unproject(low.spectra, basis)
+        assert back.shape == (49, 4)
 
     def test_dim_bounds(self):
         basis = learn_basis(random_cube(5, 5, 4), rank=3)
@@ -196,16 +196,21 @@ class TestKneedle:
         assert _kneedle_elbow(log_curve) == 3
 
 
+def curve(elbow, log_min, dimensions=31) -> VarianceCurve:
+    """A curve carrying only the two features a dimension model reads."""
+    return VarianceCurve(np.ones(dimensions), elbow, log_min)
+
+
 class TestDimensionModel:
-    def features(self, n=12, seed=0):
+    def curves(self, n=12, seed=0, dimensions=31):
         rng = np.random.default_rng(seed)
-        elbows = rng.uniform(1, 8, n)
+        elbows = rng.integers(1, 9, n)
         log_mins = rng.uniform(-8, -2, n)
-        return np.column_stack([elbows, log_mins])
+        return [curve(int(e), float(v), dimensions) for e, v in zip(elbows, log_mins)]
 
     def test_recovers_exact_quadratic(self):
         true = DimensionModel(1.5, 0.8, -0.4, 0.05, -0.02, 0.03, clamp_max=31)
-        feats = self.features()
+        curves = self.curves()
         labels = [
             true.intercept
             + true.elbow * e
@@ -213,38 +218,42 @@ class TestDimensionModel:
             + true.elbow_sq * e * e
             + true.log_min_variance_sq * v * v
             + true.elbow_x_log_min_variance * e * v
-            for e, v in feats
+            for e, v in ((c.elbow_index, c.log_min_variance) for c in curves)
         ]
-        fitted = fit_dimension_model(feats, labels, clamp_max=31)
+        fitted = fit_dimension_model(curves, labels)
         assert fitted.intercept == pytest.approx(true.intercept, abs=1e-8)
         assert fitted.elbow_sq == pytest.approx(true.elbow_sq, abs=1e-9)
         assert fitted.elbow_x_log_min_variance == pytest.approx(0.03, abs=1e-9)
 
     def test_constant_labels_predict_constant(self):
-        model = fit_dimension_model(self.features(), [5.0] * 12, clamp_max=31)
-        assert model.predict((3.0, -4.0)) == 5
-        assert model.predict((7.0, -7.5)) == 5
+        model = fit_dimension_model(self.curves(), [5.0] * 12)
+        assert model.predict(curve(3, -4.0)) == 5
+        assert model.predict(curve(7, -7.5)) == 5
 
     def test_rounding_is_half_up(self):
         base = dict(elbow=0.0, log_min_variance=0.0, elbow_sq=0.0,
                     log_min_variance_sq=0.0, elbow_x_log_min_variance=0.0,
                     clamp_max=31)
-        assert DimensionModel(intercept=4.49, **base).predict((1.0, -3.0)) == 4
-        assert DimensionModel(intercept=4.5, **base).predict((1.0, -3.0)) == 5
+        assert DimensionModel(intercept=4.49, **base).predict(curve(1, -3.0)) == 4
+        assert DimensionModel(intercept=4.5, **base).predict(curve(1, -3.0)) == 5
 
     def test_prediction_clamped(self):
         base = dict(elbow=0.0, log_min_variance=0.0, elbow_sq=0.0,
                     log_min_variance_sq=0.0, elbow_x_log_min_variance=0.0)
-        assert DimensionModel(intercept=100.0, clamp_max=9, **base).predict((1, -1)) == 9
-        assert DimensionModel(intercept=-5.0, clamp_max=9, **base).predict((1, -1)) == 2
+        assert DimensionModel(intercept=100.0, clamp_max=9, **base).predict(curve(1, -1)) == 9
+        assert DimensionModel(intercept=-5.0, clamp_max=9, **base).predict(curve(1, -1)) == 2
+        # a fitted model clamps to [2, the curves' dimension count]
+        fitted = fit_dimension_model(self.curves(dimensions=9), [100.0] * 12)
+        assert (fitted.clamp_min, fitted.clamp_max) == (2, 9)
+        assert fitted.predict(curve(3, -4.0, dimensions=9)) == 9
 
     def test_too_few_pairs_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_dimension_model(self.features(n=5), [3] * 5, clamp_max=31)
+        with pytest.raises(ValidationError, match="at least 6"):
+            fit_dimension_model(self.curves(n=5), [3] * 5)
 
     def test_mismatched_labels_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_dimension_model(self.features(n=8), [3] * 7, clamp_max=31)
+        with pytest.raises(ValidationError, match="8 training curves but 7 labels"):
+            fit_dimension_model(self.curves(n=8), [3] * 7)
 
     def test_json_round_trip(self, tmp_path):
         model = DimensionModel(1.5, 0.8, -0.4, 0.05, -0.02, 0.03, clamp_max=16)
