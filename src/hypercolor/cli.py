@@ -23,7 +23,6 @@ from .colorizer import _check_percentiles, colorize
 from .core import HyperCube
 from .errors import ConfigError, FormatError, HyperColorError, ValidationError
 from .harness import (
-    _FIELD_PARSERS,
     PATTERNS,
     ExperimentConfig,
     _acquire,
@@ -88,13 +87,9 @@ def _parse_wavelengths(text: str, bands: int) -> np.ndarray:
     return values
 
 
-def _parse_list(text: str, what: str, convert=float) -> list:
-    """Comma-separated values, each read by ``convert``: float or int."""
-    try:
-        values = [convert(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        kind = "integers" if convert is int else "numbers"
-        raise ConfigError(f"{what} expects comma-separated {kind}, got {text!r}") from None
+def _parse_list(text: str, what: str) -> list[str]:
+    """The comma-separated items of ``text``, unparsed; the library parses them."""
+    values = [token for token in text.split(",") if token.strip()]
     if not values:
         raise ConfigError(f"{what} is empty")
     return values
@@ -150,9 +145,9 @@ def _add_config_flags(parser, *flags) -> None:
 def _config_from_args(args) -> ExperimentConfig:
     """Flag over environment over --config file over built-in default.
 
-    The settings are merged first and checked once, so a bad value that a
-    flag overrides is never checked. A command without --config reads from
-    the environment only the settings it has flags for.
+    The raw settings are merged first, then parsed and checked once, so a
+    bad value that a flag overrides is never read. A command without
+    --config reads from the environment only the settings it has flags for.
     """
     flags = {
         flag: name for flag, (name, _text) in _CONFIG_FLAGS.items()
@@ -168,7 +163,7 @@ def _config_from_args(args) -> ExperimentConfig:
     for flag, name in flags.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            values[name] = _FIELD_PARSERS[name](value, flag)
+            values[name] = value
     if getattr(args, "no_edge_filter", False):
         values["edge_filter"] = False
     if getattr(args, "include_timing", False):
@@ -382,7 +377,7 @@ def _emit_sweep(args, config, result) -> int:
 
 def _cmd_sweep_dim(args) -> int:
     cube, config = _harness_inputs(args)
-    dims = _parse_list(args.dims, "--dims", int)
+    dims = _parse_list(args.dims, "--dims")
     budgets = _parse_list(args.budgets, "--budgets") if args.budgets else None
     return _emit_sweep(args, config, grid_search_dimension(cube, config, dims, budgets))
 
@@ -408,7 +403,7 @@ def _cmd_train_dim_model(args) -> int:
     cubes = [formats.read_cube(path) for path in args.cubes]
     config = _config_from_args(args)
     budgets = _parse_list(args.budgets, "--budgets")
-    dims = _parse_list(args.dims, "--dims", int) if args.dims else None
+    dims = _parse_list(args.dims, "--dims") if args.dims else None
     result = train_dimension_model(cubes, config, budgets, dims)
     write_model(result.model, args.out)
     if args.report:

@@ -25,7 +25,8 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ._filters import gaussian_kernel_1d, sobel_gradients, window_count, window_sum
 from .core import (
-    ClueSet, HyperCube, SpectralResponse, _guide_values, _resolve_response,
+    ClueSet, HyperCube, SpectralResponse, _guide_values, _is_finite_real, _is_int,
+    _resolve_response,
 )
 from .errors import SolverError, ValidationError
 from .subspace import SpectralBasis, project, unproject
@@ -119,8 +120,9 @@ def canny_edges(
 
 
 def _check_percentiles(low_percentile, high_percentile) -> None:
-    """Raise ValidationError unless 0 <= low <= high <= 100."""
-    if not 0.0 <= low_percentile <= high_percentile <= 100.0:
+    """Raise ValidationError unless both are finite numbers, 0 <= low <= high <= 100."""
+    if not (_is_finite_real(low_percentile) and _is_finite_real(high_percentile)
+            and 0.0 <= low_percentile <= high_percentile <= 100.0):
         raise ValidationError(
             f"percentiles must satisfy 0 <= low <= high <= 100, "
             f"got ({low_percentile}, {high_percentile})"
@@ -471,10 +473,10 @@ def _check_solver(method: str, tol: float, max_iter: int) -> None:
     """The checks :func:`solve` makes of its controls before any work."""
     if method not in _SOLVER_METHODS:
         raise ValidationError(f"unknown solver method {method!r}")
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if not max_iter >= 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if not (_is_finite_real(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def _choose_method(method: str, pixels: int) -> tuple[str, int, str]:
@@ -752,9 +754,9 @@ def luminance_rescale(
 
 
 def _check_alpha(alpha) -> None:
-    """The check :func:`luminance_rescale` makes of a numeric ``alpha``."""
-    if alpha != "auto" and not 0 < float(alpha) < math.inf:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
+    """The check :func:`luminance_rescale` makes of ``alpha``."""
+    if alpha != "auto" and not (_is_finite_real(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +869,7 @@ def colorize(
         raise ValidationError("dim was given without a basis")
     response = _resolve_response(clues.wavelengths, response_guide)
     _check_alpha(rescale_alpha)
+    _check_solver(method, tol, max_iter)
     solution, report = _solve_coefficients(
         values, clues, basis, dim, apply_edge_filter=apply_edge_filter,
         canny_low=canny_low, canny_high=canny_high,

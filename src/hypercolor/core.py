@@ -8,6 +8,8 @@ the data allows it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +54,20 @@ def _check_wavelengths(wavelengths: NDArrayF) -> None:
         raise ValidationError("wavelength axis is empty")
     if wavelengths.size > 1 and not np.all(np.diff(wavelengths) > 0):
         raise ValidationError("wavelengths must be strictly increasing")
+
+
+# numpy's numbers count; bools do not
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 @dataclass(frozen=True)

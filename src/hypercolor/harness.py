@@ -24,7 +24,9 @@ from functools import partial
 import numpy as np
 
 from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
-from .core import HyperCube, SpectralResponse, _resolve_response
+from .core import (
+    HyperCube, SpectralResponse, _is_finite_real, _is_int, _resolve_response,
+)
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import (
     CSV_COLUMNS,
@@ -85,8 +87,10 @@ class ExperimentConfig:
     the full basis rank, or "auto" to take the variance-curve elbow (or a
     dimension model's prediction when one is supplied at run time).
 
-    Each field is checked here, alone; whether ``rank`` and ``dim`` fit a
-    cube is checked by each run on a cube before it simulates anything.
+    Each field is parsed here from a number, numpy scalar or text (float
+    fields store floats) and checked alone; whether ``rank`` and ``dim``
+    fit a cube is checked by each run on a cube before it simulates
+    anything.
     """
 
     seed: int = 0
@@ -110,16 +114,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, parse in _FIELD_PARSERS.items():
+            object.__setattr__(self, name, parse(getattr(self, name), name))
         if self.time_budget <= 0:
             raise ConfigError(f"time_budget must be positive, got {self.time_budget}")
-        if self.guide_budget is not None and not 0 < self.guide_budget < math.inf:
-            raise ConfigError(
-                f"guide_budget must be positive and finite, got {self.guide_budget}"
-            )
-        if isinstance(self.rescale_alpha, str) and self.rescale_alpha != "auto":
-            raise ConfigError(
-                f'rescale_alpha must be a number or "auto", got {self.rescale_alpha!r}'
-            )
+        if self.guide_budget is not None and self.guide_budget <= 0:
+            raise ConfigError(f"guide_budget must be positive, got {self.guide_budget}")
         # the sampling, noise, solver and rescale fields are checked by the
         # code that uses them
         try:
@@ -129,21 +129,14 @@ class ExperimentConfig:
             _check_alpha(self.rescale_alpha)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
-        if isinstance(self.dim, str):
-            if self.dim != "auto":
-                raise ConfigError(
-                    f'dim must be an int, None, or "auto", got {self.dim!r}'
-                )
-        elif self.dim is not None and self.dim < 1:
-            raise ConfigError(f"dim must be at least 1, got {self.dim}")
-        if self.rank is not None and self.rank < 1:
-            raise ConfigError(f"rank must be at least 1, got {self.rank}")
         if self.basis_source not in ("clues", "truth"):
             raise ConfigError(
                 f'basis_source must be "clues" or "truth", got {self.basis_source!r}'
             )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        for name in ("dim", "rank", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, int) and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 def _plan(config: ExperimentConfig) -> SamplingPlan:
@@ -160,30 +153,27 @@ def _noise(config: ExperimentConfig, t: float) -> NoiseParams:
     )
 
 
-def _parse_int(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"{name} expects an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name} expects an integer, got {value!r}") from None
+def _parse_number(convert, is_kind, kind):
+    """A parser that converts text, and otherwise takes numbers of the kind."""
+    def parse(value, name):
+        try:
+            number = convert(value) if isinstance(value, str) else value
+        except ValueError:
+            number = None
+        if not is_kind(number):
+            raise ConfigError(f"{name} expects {kind}, got {value!r}")
+        return convert(number)
+
+    return parse
 
 
-def _parse_float(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name} expects a number, got {value!r}")
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"{name} expects a number, got {value!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
+_parse_int = _parse_number(int, _is_int, "an integer")
+_parse_float = _parse_number(float, _is_finite_real, "a finite number")
 
 
 def _parse_bool(value, name):
-    if isinstance(value, bool):
-        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, str):
         lowered = value.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -199,21 +189,11 @@ def _parse_str(value, name):
     return value
 
 
-def _parse_optional(parser):
+def _parse_or(parser, meaning, *words):
+    """``parser``, but ``meaning`` and its ``words``, in any case, give ``meaning``."""
     def parse(value, name):
-        if value is None:
-            return None
-        if isinstance(value, str) and value.strip().lower() in ("", "none"):
-            return None
-        return parser(value, name)
-
-    return parse
-
-
-def _parse_auto(parser):
-    def parse(value, name):
-        if isinstance(value, str) and value.strip().lower() == "auto":
-            return "auto"
+        if value is meaning or isinstance(value, str) and value.strip().lower() in words:
+            return meaning
         return parser(value, name)
 
     return parse
@@ -222,21 +202,21 @@ def _parse_auto(parser):
 _FIELD_PARSERS = {
     "seed": _parse_int,
     "time_budget": _parse_float,
-    "guide_budget": _parse_optional(_parse_float),
+    "guide_budget": _parse_or(_parse_float, None, "", "none"),
     "rho": _parse_float,
     "mu": _parse_float,
     "sigma": _parse_float,
     "pattern": _parse_str,
     "rate": _parse_float,
     "sample_alpha": _parse_float,
-    "dim": _parse_auto(_parse_optional(_parse_int)),
-    "rank": _parse_optional(_parse_int),
+    "dim": _parse_or(_parse_or(_parse_int, None, "", "none"), "auto", "auto"),
+    "rank": _parse_or(_parse_int, None, "", "none"),
     "basis_source": _parse_str,
     "edge_filter": _parse_bool,
     "solver": _parse_str,
     "tol": _parse_float,
     "max_iter": _parse_int,
-    "rescale_alpha": _parse_auto(_parse_float),
+    "rescale_alpha": _parse_or(_parse_float, "auto", "auto"),
     "include_timing": _parse_bool,
     "workers": _parse_int,
 }
@@ -254,33 +234,31 @@ def load_config(path=None, env=None) -> ExperimentConfig:
 
 
 def _config_values(path=None, env=None, env_fields=None) -> dict:
-    """Parsed field -> value settings of the JSON file, then the environment.
+    """Raw field -> value settings of the JSON file, then the environment.
 
-    Values are parsed but not yet checked together, so a caller can lay
-    higher-precedence settings over them before building the config.
-    ``env_fields``, when given, limits the environment to those fields.
+    ``ExperimentConfig`` parses and checks them, so a caller can lay
+    higher-precedence settings over them first. ``env_fields``, when
+    given, limits the environment to those fields.
     """
     names = [spec.name for spec in fields(ExperimentConfig)]
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                payload = json.load(handle)
+                data = json.load(handle)
             # not UTF-8, not JSON, or an integer too long to convert
             except ValueError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(payload, dict):
+        if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(payload) - set(names))
+        unknown = sorted(set(data) - set(names))
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
-        for name, value in payload.items():
-            data[name] = _FIELD_PARSERS[name](value, name)
     env = os.environ if env is None else env
     for name in names:
         key = ENV_PREFIX + name.upper()
         if key in env and (env_fields is None or name in env_fields):
-            data[name] = _FIELD_PARSERS[name](env[key], name)
+            data[name] = env[key]
     return data
 
 
@@ -614,11 +592,12 @@ def grid_search_dimension(
     covers the whole row (dimension d keeps the first d coefficient
     channels). Budgets default to the config's single budget.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_parse_int(d, "dims") for d in dims)
     if not dims:
         raise ValidationError("grid search needs at least one candidate dimension")
     budgets = (
-        (config.time_budget,) if budgets is None else tuple(float(b) for b in budgets)
+        (config.time_budget,) if budgets is None
+        else tuple(_parse_float(b, "budgets") for b in budgets)
     )
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
@@ -667,11 +646,12 @@ def train_dimension_model(
     least 6 pairs are required by the quadratic fit.
     """
     cubes = [cubes] if isinstance(cubes, HyperCube) else list(cubes)
-    budgets = [float(b) for b in budgets]
+    budgets = [_parse_float(b, "budgets") for b in budgets]
     if not cubes or not budgets:
         raise ValidationError("training needs at least one cube and one budget")
     candidates = [
-        tuple(dims) if dims is not None else tuple(range(2, cube.bands + 1))
+        tuple(_parse_int(d, "dims") for d in dims) if dims is not None
+        else tuple(range(2, cube.bands + 1))
         for cube in cubes
     ]
     for cube, cube_dims in zip(cubes, candidates):
@@ -803,7 +783,7 @@ def time_budget_sweep(
     (50 bins over [0, 1]) for distribution plots.
     """
     return _pipeline_sweep(
-        cube, config, "rate", [float(r) for r in ratios],
+        cube, config, "rate", tuple(ratios),
         "sweep needs at least one sampling ratio",
         basis=basis, model=model, label=label, histogram=True,
     )

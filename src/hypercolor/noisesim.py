@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ClueSet, GuideImage, HyperCube, SpectralResponse, _resolve_response
+from .core import (
+    ClueSet, GuideImage, HyperCube, SpectralResponse, _is_finite_real, _resolve_response,
+)
 from .errors import ValidationError
 
 __all__ = ["MAX_POISSON_MEAN", "NoiseParams", "simulate_guide", "simulate_clues"]
@@ -54,13 +56,13 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.t) or self.t <= 0:
+        if not (_is_finite_real(self.t) and self.t > 0):
             raise ValidationError(f"exposure t must be positive, got {self.t}")
-        if not np.isfinite(self.rho) or self.rho <= 0:
+        if not (_is_finite_real(self.rho) and self.rho > 0):
             raise ValidationError(f"photon rate rho must be positive, got {self.rho}")
-        if not np.isfinite(self.mu):
+        if not _is_finite_real(self.mu):
             raise ValidationError("read-noise mean mu must be finite")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
+        if not (_is_finite_real(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"read-noise sigma must be >= 0, got {self.sigma}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**63:
             raise ValidationError(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._filters import sobel_gradients, window_sum
-from .core import _guide_values
+from .core import _guide_values, _is_finite_real
 from .errors import ValidationError
 
 __all__ = [
@@ -65,7 +65,7 @@ class SamplingPlan:
                 f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}"
             )
         _check_rate(self.rate)
-        if not np.isfinite(self.alpha) or not 0.0 <= self.alpha <= 1.0:
+        if not (_is_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -89,7 +89,7 @@ class RowWeights:
 
 
 def _check_rate(rate: float) -> None:
-    if not np.isfinite(rate) or not 0.0 < rate <= 1.0:
+    if not (_is_finite_real(rate) and 0.0 < rate <= 1.0):
         raise ValidationError(f"sampling rate must be in (0, 1], got {rate}")
 
 

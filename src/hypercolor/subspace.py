@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClueSet, HyperCube, NDArrayF
+from .core import ClueSet, HyperCube, NDArrayF, _is_int
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -124,6 +124,9 @@ def learn_basis(
         raise ValidationError("learn_basis needs at least one cube")
     wavelengths = cubes[0].wavelengths
     bands = cubes[0].bands
+    rank = bands if rank is None else rank
+    if not (_is_int(rank) and 1 <= rank <= bands):
+        raise ValidationError(f"rank {rank!r} must be an int in [1, {bands}]")
     gram = np.zeros((bands, bands), dtype=np.float64)
     total_pixels = 0
     for cube in cubes:
@@ -132,10 +135,6 @@ def learn_basis(
         pixels = cube.pixels()
         gram += pixels.T @ pixels
         total_pixels += pixels.shape[0]
-    if rank is None:
-        rank = bands
-    if not 1 <= rank <= bands:
-        raise ValidationError(f"rank {rank} must be in [1, {bands}]")
 
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     order = np.argsort(eigenvalues)[::-1]
@@ -155,8 +154,8 @@ def learn_basis(
 def _leading_vectors(basis: SpectralBasis, dim: int | None) -> NDArrayF:
     if dim is None:
         dim = basis.rank
-    if not 1 <= dim <= basis.rank:
-        raise ValidationError(f"dimension {dim} must be in [1, {basis.rank}]")
+    if not (_is_int(dim) and 1 <= dim <= basis.rank):
+        raise ValidationError(f"dimension {dim!r} must be an int in [1, {basis.rank}]")
     return basis.vectors[:, :dim]
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from hypercolor import ClueSet, GuideImage, HyperCube, cube_to_clues, make_guide
+from hypercolor import ClueSet, GuideImage, HyperCube, colorizer, cube_to_clues, harness
+from hypercolor import make_guide
 
 DEFAULT_WAVELENGTHS = (420.0, 680.0)
 
@@ -87,3 +89,31 @@ def relative_error(actual, expected) -> float:
         np.linalg.norm((actual - expected).ravel())
         / max(np.linalg.norm(expected.ravel()), 1e-300)
     )
+
+
+def spy_costly_stages(patch) -> list:
+    """Make the costly stages fail and record their names; returns the record.
+
+    ``patch`` is a ``MonkeyPatch``. The stages are the guide simulation,
+    the system build and both solvers: a rejected input reaches none.
+    """
+    calls = []
+
+    def refuse(name):
+        def stage(*_args, **_kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the bad input was rejected")
+
+        return stage
+
+    for module, name in ((harness, "simulate_guide"), (colorizer, "build_system"),
+                         (colorizer.sparse_linalg, "splu"),
+                         (colorizer.sparse_linalg, "bicgstab")):
+        patch.setattr(module, name, refuse(name))
+    return calls
+
+
+@pytest.fixture
+def costly_stages(monkeypatch) -> list:
+    """The costly stages, spied for the test; see ``spy_costly_stages``."""
+    return spy_costly_stages(monkeypatch)

@@ -222,15 +222,22 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", str(cube_file), "--rate", "0")
         assert code == 2
 
-    def test_flag_overrides_bad_env_setting(self, capsys, cube_file, monkeypatch):
-        monkeypatch.setenv("HYPERCOLOR_RATE", "0")
+    @pytest.mark.parametrize("field, bad, good", [
+        ("rate", "0", "0.5"),
+        ("seed", "x", "1"),
+    ])
+    def test_flag_overrides_bad_env_setting(
+        self, capsys, cube_file, monkeypatch, field, bad, good
+    ):
+        monkeypatch.setenv(f"HYPERCOLOR_{field.upper()}", bad)
         assert run_json(
-            capsys, "simulate", str(cube_file), "--rate", "0.5"
+            capsys, "simulate", str(cube_file), f"--{field}", good
         )["mask_count"] > 0
         code = main(["simulate", str(cube_file)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and "rate" in err
+        assert err.startswith("error:") and field in err
+        assert_error(capsys, 2, "simulate", str(cube_file), f"--{field}", bad)
 
     def test_env_overrides_reach_simulate(self, capsys, cube_file, monkeypatch):
         default = run_json(capsys, "simulate", str(cube_file))["mask_count"]

@@ -511,6 +511,8 @@ class TestSolve:
             {"tol": float("nan")},
             {"tol": float("inf")},
             {"max_iter": 0},
+            {"tol": "x"},
+            {"max_iter": 2.5},
         ],
     )
     def test_bad_tolerance_or_cap_rejected_before_solving(
@@ -764,13 +766,11 @@ class TestLuminanceRescale:
         double = luminance_rescale(recon, guide, alpha=2.0)[0].data
         assert np.allclose(double, 2.0 * single, atol=1e-12)
 
-    def test_alpha_validation(self):
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, "x", True])
+    def test_alpha_validation(self, alpha):
         recon = random_cube(4, 4, 2)
-        guide = make_guide(recon)
         with pytest.raises(ValidationError):
-            luminance_rescale(recon, guide, alpha=0.0)
-        with pytest.raises(ValidationError):
-            luminance_rescale(recon, guide, alpha=-2.0)
+            luminance_rescale(recon, make_guide(recon), alpha=alpha)
 
     def test_guide_response_defaults_to_the_visible_window(self):
         cube = random_cube(6, 7, 5, seed=35)
@@ -879,13 +879,22 @@ class TestColorize:
             colorize(guide, full_clues(cube), response_guide=response)
         assert calls == []
 
-    def test_bad_alpha_rejected_before_any_work(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [-1.0, "x", True])
+    def test_bad_alpha_rejected_before_any_work(self, costly_stages, alpha):
         cube = random_cube(8, 8, 3, seed=37)
-        calls = []
-        monkeypatch.setattr(colorizer, "build_system", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValidationError, match="alpha"):
-            colorize(make_guide(cube), full_clues(cube), rescale_alpha=-1.0)
-        assert calls == []
+            colorize(make_guide(cube), full_clues(cube), rescale_alpha=alpha)
+        assert costly_stages == []
+
+    @pytest.mark.parametrize("controls", [
+        {"method": "iterative", "max_iter": 2.5},
+        {"tol": "x"},
+    ])
+    def test_bad_solver_control_rejected_before_any_work(self, costly_stages, controls):
+        cube = random_cube(8, 8, 3, seed=37)
+        with pytest.raises(ValidationError):
+            colorize(make_guide(cube), full_clues(cube), **controls)
+        assert costly_stages == []
 
     def test_dim_without_basis_rejected(self):
         cube = random_cube(8, 8, 3)

@@ -129,11 +129,36 @@ class TestConfig:
             {"rho": 0.0},
             {"sigma": -1.0},
             {"seed": -1},
+            {"workers": 2.5},
+            {"workers": True},
+            {"dim": 2.5},
+            {"dim": True},
+            {"max_iter": 2.5},
+            {"rank": 2.5},
+            {"edge_filter": 0},
+            {"tol": "x"},
         ],
     )
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("field, value, plain", [
+        ("seed", np.int64(3), 3),
+        ("rate", np.float32(0.25), 0.25),
+        ("time_budget", 1, 1.0),
+        ("seed", "3", 3),
+    ])
+    def test_every_form_of_a_setting_writes_the_same_report(
+        self, tmp_path, field, value, plain
+    ):
+        cube = random_cube(12, 12, 4, rank=3, seed=5)
+        for name, form in (("value", value), ("plain", plain)):
+            result = run_pipeline(cube, fast_config(**{field: form}))
+            write_json(result, tmp_path / f"{name}.json")
+        assert (tmp_path / "value.json").read_bytes() == (
+            tmp_path / "plain.json"
+        ).read_bytes()
 
     def test_dim_auto_accepted(self):
         assert ExperimentConfig(dim="auto").dim == "auto"
@@ -519,6 +544,18 @@ class TestSettingsAreCheckedBeforeSimulation:
         # the dims fit, but a truncated basis gives no variance curve
         with pytest.raises(ConfigError, match="full-rank"):
             train_dimension_model([wide, narrow], fast_config(rank=3), (1.0,), (2, 3))
+
+
+class TestCandidateDimensionsAreTyped:
+    @pytest.mark.parametrize("dims", [["a"], [2.5], [True, 3]])
+    @pytest.mark.parametrize("entry", _SEARCHES)
+    def test_a_bad_candidate_is_rejected_before_any_work(
+        self, costly_stages, entry, dims
+    ):
+        cube = random_cube(12, 12, 4, rank=3, seed=24)
+        with pytest.raises(ConfigError, match="dims"):
+            _RUNS[entry](cube, fast_config(), dims)
+        assert costly_stages == []
 
 
 class TestSweeps:

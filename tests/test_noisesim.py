@@ -31,6 +31,10 @@ class TestNoiseParams:
             {"seed": -1},
             {"seed": 2**63},
             {"mu": float("nan")},
+            {"t": "x"},
+            {"rho": 10**400},
+            {"sigma": None},
+            {"mu": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

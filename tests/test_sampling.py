@@ -261,6 +261,8 @@ class TestPlanAndDispatch:
             {"pattern": "random", "rate": 1.2},
             {"pattern": "random", "rate": 0.1, "alpha": -0.5},
             {"pattern": "random", "rate": 0.1, "seed": -1},
+            {"pattern": "random", "rate": "x"},
+            {"pattern": "random", "rate": 0.1, "alpha": None},
         ],
     )
     def test_plan_validation(self, kwargs):

@@ -75,6 +75,9 @@ class TestLearnBasis:
             learn_basis(cube, rank=0)
         with pytest.raises(ValidationError):
             learn_basis(cube, rank=4)
+        for rank in (2.5, True):
+            with pytest.raises(ValidationError):
+                learn_basis(cube, rank=rank)
         with pytest.raises(ValidationError):
             learn_basis([])
         other = random_cube(4, 4, 3)
