@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -26,8 +25,6 @@ __all__ = [
     "SpectralResponse",
     "make_guide",
     "cube_to_clues",
-    "clues_to_cube",
-    "import_band_stack",
 ]
 
 NDArrayF = npt.NDArray[np.float64]
@@ -300,43 +297,3 @@ def cube_to_clues(cube: HyperCube, mask) -> ClueSet:
         )
     spectra = cube.data[mask]
     return ClueSet(cube.height, cube.width, cube.wavelengths, mask, spectra)
-
-
-def clues_to_cube(clues: ClueSet) -> HyperCube:
-    """Densify a clue set: clue spectra at their positions, zeros elsewhere."""
-    data = np.zeros((clues.height, clues.width, clues.bands), dtype=np.float64)
-    data[clues.mask] = clues.spectra
-    return HyperCube(data, clues.wavelengths)
-
-
-def import_band_stack(bands: Sequence[npt.ArrayLike], wavelengths) -> HyperCube:
-    """Stack single-band images of identical shape into a cube.
-
-    ``bands`` must be ordered to match ``wavelengths``. Integer images are
-    scaled by 1/(2^bits - 1) into [0, 1]; float images pass through as
-    linear radiance.
-    """
-    wavelengths = np.asarray(wavelengths, dtype=np.float64)
-    if len(bands) == 0:
-        raise ValidationError("band stack is empty")
-    if len(bands) != wavelengths.size:
-        raise ValidationError(
-            f"{len(bands)} bands for {wavelengths.size} wavelengths"
-        )
-    planes = []
-    for i, band in enumerate(bands):
-        plane = np.asarray(band)
-        if plane.ndim != 2:
-            raise ValidationError(f"band {i} is not a 2-d image (shape {plane.shape})")
-        if plane.shape != np.asarray(bands[0]).shape:
-            raise ValidationError(
-                f"band {i} shape {plane.shape} does not match band 0 shape "
-                f"{np.asarray(bands[0]).shape}"
-            )
-        if np.issubdtype(plane.dtype, np.integer):
-            full_scale = float(2 ** (8 * plane.dtype.itemsize) - 1)
-            plane = plane.astype(np.float64) / full_scale
-        else:
-            plane = plane.astype(np.float64)
-        planes.append(plane)
-    return HyperCube(np.stack(planes, axis=-1), wavelengths)

@@ -367,6 +367,16 @@ def _basis_shape(cube, config, basis=None) -> tuple[int, int]:
     return config.rank or cube.bands, cube.bands
 
 
+def _as_tuple(values, name: str) -> tuple:
+    """A list argument's items; a bare string or a single value raises."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            return tuple(values)
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be a list of values, got {values!r}")
+
+
 def _check_dims(dims, rank: int, bands: int) -> None:
     """Reject dimensions that a basis of ``rank`` of ``bands`` bands cannot give.
 
@@ -592,12 +602,12 @@ def grid_search_dimension(
     covers the whole row (dimension d keeps the first d coefficient
     channels). Budgets default to the config's single budget.
     """
-    dims = tuple(_parse_int(d, "dims") for d in dims)
+    dims = tuple(_parse_int(d, "dims") for d in _as_tuple(dims, "dims"))
     if not dims:
         raise ValidationError("grid search needs at least one candidate dimension")
     budgets = (
         (config.time_budget,) if budgets is None
-        else tuple(_parse_float(b, "budgets") for b in budgets)
+        else tuple(_parse_float(b, "budgets") for b in _as_tuple(budgets, "budgets"))
     )
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
@@ -646,11 +656,11 @@ def train_dimension_model(
     least 6 pairs are required by the quadratic fit.
     """
     cubes = [cubes] if isinstance(cubes, HyperCube) else list(cubes)
-    budgets = [_parse_float(b, "budgets") for b in budgets]
+    budgets = [_parse_float(b, "budgets") for b in _as_tuple(budgets, "budgets")]
     if not cubes or not budgets:
         raise ValidationError("training needs at least one cube and one budget")
     candidates = [
-        tuple(_parse_int(d, "dims") for d in dims) if dims is not None
+        tuple(_parse_int(d, "dims") for d in _as_tuple(dims, "dims")) if dims is not None
         else tuple(range(2, cube.bands + 1))
         for cube in cubes
     ]
@@ -783,7 +793,7 @@ def time_budget_sweep(
     (50 bins over [0, 1]) for distribution plots.
     """
     return _pipeline_sweep(
-        cube, config, "rate", tuple(ratios),
+        cube, config, "rate", _as_tuple(ratios, "ratios"),
         "sweep needs at least one sampling ratio",
         basis=basis, model=model, label=label, histogram=True,
     )
@@ -805,7 +815,7 @@ def compare_sampling(
     comparison isolates the pattern itself.
     """
     return _pipeline_sweep(
-        cube, config, "pattern", tuple(patterns),
+        cube, config, "pattern", _as_tuple(patterns, "patterns"),
         "comparison needs at least one pattern",
         basis=basis, model=model, label=label,
     )

@@ -28,7 +28,6 @@ __all__ = [
     "gfc",
     "ssv",
     "emd",
-    "emd_map",
     "evaluate",
 ]
 
@@ -57,8 +56,11 @@ CSV_COLUMNS = ("psnr", "ssim", "gfc", "ssv", "emd", "wall_ms")
 
 
 def _paired_arrays(truth, recon):
-    t = truth.data if isinstance(truth, HyperCube) else np.asarray(truth, dtype=np.float64)
-    r = recon.data if isinstance(recon, HyperCube) else np.asarray(recon, dtype=np.float64)
+    try:
+        t, r = (a.data if isinstance(a, HyperCube) else np.asarray(a, dtype=np.float64)
+                for a in (truth, recon))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"metrics require numeric inputs ({exc})") from None
     if t.shape != r.shape:
         raise ValidationError(
             f"truth shape {t.shape} does not match reconstruction {r.shape}"
@@ -313,16 +315,6 @@ def _emd_mean(values) -> float:
     if finite.size == 0:
         raise ValidationError("EMD found no pixel with usable mass on both sides")
     return float(finite.mean())
-
-
-def emd_map(truth, recon) -> np.ndarray:
-    """Per-pixel earth mover's distances as an image; skipped pixels are NaN.
-
-    Same conventions as :func:`emd`; feeds distribution plots of spatial
-    error structure.
-    """
-    t, r = _paired_arrays(truth, recon)
-    return _per_pixel(t, r, _emd_block).reshape(t.shape[0], t.shape[1])
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,7 @@ from ._filters import sobel_gradients, window_sum
 from .core import _guide_values, _is_finite_real
 from .errors import ValidationError
 
-__all__ = [
-    "PATTERNS",
-    "SamplingPlan",
-    "RowWeights",
-    "build_mask",
-    "sample_random",
-    "sample_uniform_push",
-    "sample_uniform_whisk",
-    "sample_guided_push",
-    "sample_guided_whisk",
-    "compute_row_weights",
-    "detect_corners",
-]
+__all__ = ["PATTERNS", "SamplingPlan", "build_mask"]
 
 PATTERNS = (
     "random",
@@ -51,7 +39,7 @@ class SamplingPlan:
 
     ``alpha`` blends the corner-density feature against the gray-level
     diversity feature in the guided patterns; ``seed`` only matters for the
-    random pattern.
+    random pattern. The plan holds the one check of the rate.
     """
 
     pattern: str
@@ -64,33 +52,12 @@ class SamplingPlan:
             raise ValidationError(
                 f"unknown pattern {self.pattern!r}, expected one of {PATTERNS}"
             )
-        _check_rate(self.rate)
+        if not (_is_finite_real(self.rate) and 0.0 < self.rate <= 1.0):
+            raise ValidationError(f"sampling rate must be in (0, 1], got {self.rate}")
         if not (_is_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class RowWeights:
-    """Per-row sampling weights, positive with unit mean."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size < 1:
-            raise ValidationError(f"row weights must be a 1-d array, got {weights.shape}")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-            raise ValidationError("row weights must be finite and positive")
-        if abs(weights.mean() - 1.0) > 1e-6:
-            raise ValidationError(f"row weights mean {weights.mean()} is not 1")
-        object.__setattr__(self, "weights", weights)
-
-
-def _check_rate(rate: float) -> None:
-    if not (_is_finite_real(rate) and 0.0 < rate <= 1.0):
-        raise ValidationError(f"sampling rate must be in (0, 1], got {rate}")
 
 
 def _threshold_select(weights: np.ndarray, threshold: float) -> np.ndarray:
@@ -114,9 +81,8 @@ def _threshold_select(weights: np.ndarray, threshold: float) -> np.ndarray:
 # Uniform and random patterns
 
 
-def sample_random(shape: tuple[int, int], rate: float, seed: int = 0) -> np.ndarray:
+def _sample_random(shape: tuple[int, int], rate: float, seed: int) -> np.ndarray:
     """floor(rate * pixels) distinct pixels, uniform without replacement."""
-    _check_rate(rate)
     height, width = shape
     total = height * width
     count = int(np.floor(rate * total))
@@ -137,16 +103,14 @@ def _row_mask(weights: np.ndarray, width: int, rate: float) -> np.ndarray:
     return np.repeat(rows[:, None], width, axis=1)
 
 
-def sample_uniform_push(shape: tuple[int, int], rate: float) -> np.ndarray:
+def _sample_uniform_push(shape: tuple[int, int], rate: float) -> np.ndarray:
     """Whole rows at the target rate via accumulate-and-threshold."""
-    _check_rate(rate)
     height, width = shape
     return _row_mask(np.ones(height), width, rate)
 
 
-def sample_uniform_whisk(shape: tuple[int, int], rate: float) -> np.ndarray:
+def _sample_uniform_whisk(shape: tuple[int, int], rate: float) -> np.ndarray:
     """Row/column lattice: rows at rate sqrt(rate), pixels within at sqrt(rate)."""
-    _check_rate(rate)
     height, width = shape
     axis_rate = np.sqrt(rate)
     rows = _threshold_select(np.ones(height), 1.0 / axis_rate)
@@ -158,14 +122,13 @@ def sample_uniform_whisk(shape: tuple[int, int], rate: float) -> np.ndarray:
 # Guide features
 
 
-def detect_corners(guide) -> np.ndarray:
+def _detect_corners(values: np.ndarray) -> np.ndarray:
     """Minimum-eigenvalue corner positions, (count, 2) as (row, col).
 
     3x3 Sobel gradients feed a structure tensor summed over a 5x5 window;
     the corner score is the tensor's smaller eigenvalue. Survivors of a 5x5
     non-maximum suppression are kept when they reach 1% of the peak score.
     """
-    values = _guide_values(guide)
     grad_x, grad_y = sobel_gradients(values)
     sum_xx = window_sum(grad_x * grad_x, 5)
     sum_yy = window_sum(grad_y * grad_y, 5)
@@ -194,7 +157,7 @@ def _posterize(values: np.ndarray, levels: int = _POSTERIZE_LEVELS) -> np.ndarra
 
 def _guide_features(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner map (1.0 at each detected corner) and posterized levels."""
-    corners = detect_corners(values)
+    corners = _detect_corners(values)
     corner_map = np.zeros(values.shape, dtype=np.float64)
     corner_map[corners[:, 0], corners[:, 1]] = 1.0
     return corner_map, _posterize(values)
@@ -237,29 +200,22 @@ def _axis_weights(
     return alpha * _spread_feature(corners) + (1.0 - alpha) * _spread_feature(diversity)
 
 
-def compute_row_weights(guide, alpha: float = 0.7) -> RowWeights:
-    """Blend corner density and gray-level diversity into per-row weights.
-
-    Both features count within a band of +-5 rows. Each is rescaled into
-    [0.1, 1.0] and normalized to unit mean before blending, so a constant
-    guide degrades to uniform weights.
-    """
-    corner_map, levels = _guide_features(_guide_values(guide))
-    return RowWeights(_axis_weights(corner_map, levels, 0, _ROW_BAND, alpha))
-
-
 # ---------------------------------------------------------------------------
 # Guided patterns
 
 
-def sample_guided_push(guide, rate: float, alpha: float = 0.7) -> np.ndarray:
-    """Whole rows, more of them where the guide shows structure."""
-    _check_rate(rate)
-    values = _guide_values(guide)
-    return _row_mask(compute_row_weights(values, alpha).weights, values.shape[1], rate)
+def _sample_guided_push(values: np.ndarray, rate: float, alpha: float) -> np.ndarray:
+    """Whole rows, more of them where the guide shows structure.
+
+    Row weights count corners and gray levels within +-5 rows, so a
+    constant guide degrades to the uniform push.
+    """
+    corner_map, levels = _guide_features(values)
+    weights = _axis_weights(corner_map, levels, 0, _ROW_BAND, alpha)
+    return _row_mask(weights, values.shape[1], rate)
 
 
-def sample_guided_whisk(guide, rate: float, alpha: float = 0.7) -> np.ndarray:
+def _sample_guided_whisk(values: np.ndarray, rate: float, alpha: float) -> np.ndarray:
     """Guided rows, then guided pixels within each selected row.
 
     Rows come from the guided push weights at rate sqrt(rate); within a
@@ -267,8 +223,6 @@ def sample_guided_whisk(guide, rate: float, alpha: float = 0.7) -> np.ndarray:
     +-10-column window over the +-5-row band, and pixels fire through the
     same accumulate-and-threshold walk at threshold 1/sqrt(rate).
     """
-    _check_rate(rate)
-    values = _guide_values(guide)
     height = values.shape[0]
     threshold = 1.0 / np.sqrt(rate)
     corner_map, levels = _guide_features(values)
@@ -295,18 +249,22 @@ def build_mask(plan: SamplingPlan, shape: tuple[int, int] | None = None, guide=N
     Guided patterns require ``guide``; the others accept either ``shape``
     or a guide to borrow the shape from.
     """
+    if not isinstance(plan, SamplingPlan):
+        raise ValidationError(f"build_mask needs a SamplingPlan, got {plan!r}")
+    values = None
     if guide is not None:
-        shape = _guide_values(guide).shape
+        values = _guide_values(guide)
+        shape = values.shape
     if shape is None:
         raise ValidationError("build_mask needs a shape or a guide image")
     if plan.pattern == "random":
-        return sample_random(shape, plan.rate, plan.seed)
+        return _sample_random(shape, plan.rate, plan.seed)
     if plan.pattern == "uniform-push":
-        return sample_uniform_push(shape, plan.rate)
+        return _sample_uniform_push(shape, plan.rate)
     if plan.pattern == "uniform-whisk":
-        return sample_uniform_whisk(shape, plan.rate)
-    if guide is None:
+        return _sample_uniform_whisk(shape, plan.rate)
+    if values is None:
         raise ValidationError(f"pattern {plan.pattern!r} requires a guide image")
     if plan.pattern == "guided-push":
-        return sample_guided_push(guide, plan.rate, plan.alpha)
-    return sample_guided_whisk(guide, plan.rate, plan.alpha)
+        return _sample_guided_push(values, plan.rate, plan.alpha)
+    return _sample_guided_whisk(values, plan.rate, plan.alpha)

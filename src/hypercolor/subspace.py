@@ -162,9 +162,9 @@ def _leading_vectors(basis: SpectralBasis, dim: int | None) -> NDArrayF:
 def project(data, basis: SpectralBasis, dim: int | None = None):
     """Coefficients of spectra in the leading ``dim`` basis directions.
 
-    Accepts a HyperCube or a spectral-axis-last array (returns an array of
-    coefficients) or a ClueSet (returns a ClueSet in coefficient space with
-    a placeholder 1..dim wavelength axis).
+    Accepts a spectral-axis-last array (returns an array of coefficients)
+    or a ClueSet (returns a ClueSet in coefficient space with a placeholder
+    1..dim wavelength axis).
     """
     vectors = _leading_vectors(basis, dim)
     if isinstance(data, ClueSet):
@@ -180,12 +180,13 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
             data.mask,
             coefficients,
         )
-    if isinstance(data, HyperCube):
-        data = data.data
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape[-1] != basis.bands:
+    try:
+        data = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"spectra are not numeric ({exc})") from None
+    if data.shape[-1:] != (basis.bands,):
         raise ValidationError(
-            f"spectral axis has {data.shape[-1]} bands, basis has {basis.bands}"
+            f"spectra of shape {data.shape} lack the basis's {basis.bands}-band axis"
         )
     return data @ vectors
 

@@ -73,6 +73,13 @@ def full_clues(cube: HyperCube) -> ClueSet:
     return clues_at(cube, np.ones((cube.height, cube.width), dtype=bool))
 
 
+def densify(clues: ClueSet) -> np.ndarray:
+    """A clue set as a dense array: its spectra at their pixels, zeros elsewhere."""
+    data = np.zeros((clues.height, clues.width, clues.bands))
+    data[clues.mask] = clues.spectra
+    return data
+
+
 def scatter_mask(height, width, rate, seed=0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     count = max(1, int(rate * height * width))

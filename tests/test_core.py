@@ -1,22 +1,23 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hypercolor
-from conftest import constant_cube, random_cube, wavelengths_for
+from conftest import constant_cube, densify, random_cube, wavelengths_for
 from hypercolor import (
     ClueSet,
     GuideImage,
     HyperCube,
     SpectralResponse,
     ValidationError,
-    clues_to_cube,
     cube_to_clues,
     colorizer,
     core,
     errors,
     formats,
     harness,
-    import_band_stack,
     make_guide,
     metrics,
     noisesim,
@@ -88,17 +89,9 @@ class TestClueSet:
         mask = np.zeros((5, 6), dtype=bool)
         mask[[0, 2, 4], [1, 3, 5]] = True
         clues = cube_to_clues(cube, mask)
-        back = cube_to_clues(clues_to_cube(clues), mask)
+        back = cube_to_clues(HyperCube(densify(clues), cube.wavelengths), mask)
         assert np.array_equal(back.spectra, clues.spectra)
         assert np.array_equal(back.mask, clues.mask)
-
-    def test_unsampled_pixels_are_zero_in_dense_form(self):
-        cube = random_cube(4, 4, 3)
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1, 1] = True
-        dense = clues_to_cube(cube_to_clues(cube, mask))
-        assert np.array_equal(dense.data[1, 1], cube.data[1, 1])
-        assert dense.data[~mask].max() == 0.0
 
     def test_empty_mask_gives_zero_entries(self):
         cube = random_cube(3, 3, 2)
@@ -203,36 +196,6 @@ class TestMakeGuide:
             make_guide(cube, resp)
 
 
-class TestImportBandStack:
-    def test_eight_bit_full_scale_maps_to_one(self):
-        band = np.full((4, 4), 255, dtype=np.uint8)
-        cube = import_band_stack([band], [550.0])
-        assert np.all(cube.data == 1.0)
-
-    def test_sixteen_bit_scaling(self):
-        band = np.full((2, 2), 65535, dtype=np.uint16)
-        half = np.full((2, 2), 32768, dtype=np.uint16)
-        cube = import_band_stack([band, half], [500.0, 600.0])
-        assert np.all(cube.data[..., 0] == 1.0)
-        assert np.allclose(cube.data[..., 1], 32768 / 65535)
-
-    def test_stacks_in_wavelength_order(self):
-        b0 = np.zeros((2, 3))
-        b1 = np.ones((2, 3))
-        cube = import_band_stack([b0, b1], [450.0, 650.0])
-        assert cube.shape == (2, 3, 2)
-        assert np.all(cube.data[..., 1] == 1.0)
-
-    def test_rejects_count_mismatch(self):
-        bands = [np.ones((2, 2))] * 30
-        with pytest.raises(ValidationError):
-            import_band_stack(bands, wavelengths_for(31))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            import_band_stack([np.ones((2, 2)), np.ones((3, 2))], [500.0, 600.0])
-
-
 class TestPackageSurface:
     MODULES = (colorizer, core, errors, formats, harness, metrics, noisesim, sampling,
                subspace)
@@ -244,3 +207,22 @@ class TestPackageSurface:
         for module in self.MODULES:
             for name in module.__all__:
                 assert getattr(hypercolor, name) is getattr(module, name), name
+
+    def test_every_exported_name_has_a_caller(self):
+        # a name counts as called when some whole-word reference to it is
+        # left once the package's __all__ lists and each module-level def,
+        # class or assignment line are cut; the benchmark and README count too
+        root = Path(__file__).resolve().parents[1]
+        package = [re.sub(r"^__all__ = \[.*?\]", "", path.read_text(), flags=re.M | re.S)
+                   for path in sorted((root / "src" / "hypercolor").glob("*.py"))]
+        others = [path.read_text() for path in sorted((root / "perfbench").glob("*.py"))]
+        others.append((root / "README.md").read_text())
+
+        def called(name):
+            own = re.compile(rf"^(?:(?:def|class) {name}\b|{name}\s*[:=]).*$", re.M)
+            word = re.compile(rf"\b{name}\b")
+            texts = [own.sub("", text) for text in package] + others
+            return any(word.search(text) for text in texts)
+
+        exported = [name for name in hypercolor.__all__ if name != "__version__"]
+        assert [name for name in exported if not called(name)] == []

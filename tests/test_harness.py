@@ -26,7 +26,6 @@ from hypercolor import (
     ValidationError,
     VarianceCurve,
     compare_sampling,
-    emd_map,
     export_plotdata,
     grid_search_dimension,
     learn_basis,
@@ -38,6 +37,7 @@ from hypercolor import (
 )
 from hypercolor import colorizer, harness
 from hypercolor.harness import PipelineResult, _acquire, _best_by_emd, _run_many
+from hypercolor.metrics import _evaluate_with_emd_values
 from hypercolor.noisesim import SpectralResponse
 
 from conftest import random_cube, wavelengths_for
@@ -558,6 +558,29 @@ class TestCandidateDimensionsAreTyped:
         assert costly_stages == []
 
 
+class TestListArguments:
+    @pytest.mark.parametrize("name, call", [
+        ("dims", lambda cube, config: grid_search_dimension(cube, config, 3)),
+        ("budgets", lambda cube, config: grid_search_dimension(cube, config, (2,), 0.5)),
+        ("ratios", lambda cube, config: time_budget_sweep(cube, config, 0.1)),
+        ("budgets", lambda cube, config: train_dimension_model(cube, config, 0.5)),
+        ("dims", lambda cube, config: train_dimension_model(cube, config, (0.5,), 3)),
+        ("patterns", lambda cube, config: compare_sampling(cube, config, "random")),
+    ], ids=["search-dims", "search-budgets", "sweep-ratios", "training-budgets",
+            "training-dims", "comparison-patterns"])
+    def test_one_value_or_a_string_is_no_list(self, costly_stages, name, call):
+        cube = random_cube(12, 12, 4, rank=3, seed=24)
+        with pytest.raises(ValidationError, match=f"{name} must be a list"):
+            call(cube, fast_config())
+        assert costly_stages == []
+
+    def test_any_iterable_is_a_list(self):
+        cube = random_cube(12, 12, 4, rank=3, seed=24)
+        listed = compare_sampling(cube, fast_config(), ["random", "uniform-push"])
+        generated = compare_sampling(cube, fast_config(), iter(("random", "uniform-push")))
+        assert listed.to_dict() == generated.to_dict()
+
+
 class TestSweeps:
     def test_budget_sweep_attaches_histograms(self):
         cube = random_cube(20, 20, 5, rank=3, seed=12)
@@ -565,7 +588,7 @@ class TestSweeps:
         assert len(sweep.results) == 2
         for result in sweep.results:
             assert len(result.emd_histogram) == 50
-            values = emd_map(cube, result.recon)
+            _report, values = _evaluate_with_emd_values(cube, result.recon)
             finite = values[np.isfinite(values)]
             assert sum(result.emd_histogram) == finite.size == 400
             counts, _edges = np.histogram(finite, bins=50, range=(0.0, 1.0))

@@ -28,7 +28,9 @@ from hypercolor import (  # noqa: E402
     ValidationError,
     build_system,
     colorize,
+    compare_sampling,
     cube_to_clues,
+    evaluate,
     formats,
     grid_search_dimension,
     learn_basis,
@@ -119,6 +121,14 @@ bad_colorize_dims = not_counts | forms(st.integers(BANDS + 1, 10**6))
 bad_dims = bad_colorize_dims | st.none()
 bad_budgets = not_positive_reals | st.none()
 bad_ratios = BAD_SETTINGS["rate"]
+# one value, or a string, where a list is taken
+single_values = st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(
+    [b"23", np.float64(0.5), np.array(3), *PATTERNS]
+)
+# a reconstruction that is no array of numbers
+not_numeric = st.text(max_size=8) | st.sampled_from(
+    [[[1.0, 2.0], [3.0]], [1.0, "x"], {}, object(), [None], 1j]
+)
 
 
 @contextlib.contextmanager
@@ -161,6 +171,19 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
             [cube], ExperimentConfig(), with_bad((0.5,), v, data))),
         "sweep ratios": (bad_ratios, lambda v: time_budget_sweep(
             cube, ExperimentConfig(), with_bad((0.1,), v, data))),
+        "search dims alone": (single_values, lambda v: grid_search_dimension(
+            cube, ExperimentConfig(), v)),
+        "search budgets alone": (single_values, lambda v: grid_search_dimension(
+            cube, ExperimentConfig(), (2,), v)),
+        "training budgets alone": (single_values, lambda v: train_dimension_model(
+            [cube], ExperimentConfig(), v)),
+        "training dims alone": (single_values, lambda v: train_dimension_model(
+            [cube], ExperimentConfig(), (0.5, 1.0), v)),
+        "sweep ratios alone": (single_values, lambda v: time_budget_sweep(
+            cube, ExperimentConfig(), v)),
+        "comparison patterns alone": (single_values, lambda v: compare_sampling(
+            cube, ExperimentConfig(), v)),
+        "evaluate reconstruction": (not_numeric, lambda v: evaluate(cube, v)),
         "colorize dim": (bad_colorize_dims, lambda v: colorize(guide, clues, basis, v)),
         "colorize rescale_alpha": (bad_budgets, lambda v: colorize(
             guide, clues, rescale_alpha=v)),

@@ -19,7 +19,6 @@ from hypercolor import (
     MetricReport,
     ValidationError,
     emd,
-    emd_map,
     evaluate,
     gfc,
     psnr,
@@ -28,6 +27,13 @@ from hypercolor import (
 )
 from hypercolor import metrics
 from hypercolor.harness import _csv_text
+from hypercolor.metrics import _evaluate_with_emd_values
+
+
+def emd_values(truth, recon):
+    """Per-pixel EMD, flat, by the path ``_evaluate_with_emd_values`` takes;
+    it holds on pairs too small for SSIM."""
+    return metrics._per_pixel(*metrics._paired_arrays(truth, recon), metrics._emd_block)
 
 
 def ssim_oracle(truth, recon, peak=None):
@@ -399,20 +405,20 @@ class TestEmd:
         truth[0, 1] = [0.5, 0.5, 0.0]
         recon[0, 1] = [1e-15, 0.0, 0.0]  # recon side has no usable mass
         assert emd(truth, recon) == pytest.approx(0.5, abs=1e-15)
-        gaps = emd_map(truth, recon)
-        assert gaps.shape == (1, 2)
-        assert gaps[0, 0] == pytest.approx(0.5)
-        assert np.isnan(gaps[0, 1])
+        gaps = emd_values(truth, recon)
+        assert gaps.shape == (2,)
+        assert gaps[0] == pytest.approx(0.5)
+        assert np.isnan(gaps[1])
 
     def test_all_pixels_skipped_rejected(self):
         with pytest.raises(ValidationError):
             emd(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
 
-    def test_map_mean_matches_scalar(self):
+    def test_per_pixel_mean_matches_scalar(self):
         rng = np.random.default_rng(14)
         truth = rng.random((5, 4, 6))
         recon = rng.random((5, 4, 6))
-        assert np.nanmean(emd_map(truth, recon)) == pytest.approx(
+        assert np.nanmean(emd_values(truth, recon)) == pytest.approx(
             emd(truth, recon), abs=1e-14
         )
 
@@ -467,8 +473,9 @@ class TestBlockedSpectralMetrics:
         values = np.full(t.shape[0], np.nan)
         gap = np.cumsum(t[valid] / mass_t[valid, None] - r[valid] / mass_r[valid, None], axis=1)
         values[valid] = np.abs(gap).sum(axis=1) / 7
-        assert np.array_equal(emd_map(truth, recon), values.reshape(70, 70), equal_nan=True)
-        assert emd(truth, recon) == float(values[valid].mean())
+        report, per_pixel = _evaluate_with_emd_values(truth, recon)
+        assert np.array_equal(per_pixel, values, equal_nan=True)
+        assert emd(truth, recon) == report.emd == float(values[valid].mean())
 
 
 class TestMonotoneDegradation:
@@ -565,3 +572,12 @@ class TestEvaluate:
             psnr(truth.data * -1e200, truth)
         with pytest.raises(ValidationError, match="3-d"):
             evaluate(truth.data[:, :, 0], truth.data[:, :, 0])
+
+    @pytest.mark.parametrize("recon", ["x", [[1.0, 2.0], [3.0]], [[0.5, {}]]])
+    def test_rejects_a_reconstruction_that_is_not_numeric(self, recon):
+        truth = random_cube(12, 12, 4, seed=20)
+        with pytest.raises(ValidationError, match="numeric"):
+            evaluate(truth, recon)
+        for metric in (psnr, ssim, gfc, ssv, emd):
+            with pytest.raises(ValidationError, match="numeric"):
+                metric(recon, truth)

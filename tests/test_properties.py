@@ -24,7 +24,6 @@ from hypercolor import (  # noqa: E402
     TruncatedFileError,
     affinity_weights,
     build_system,
-    clues_to_cube,
     colorize,
     cube_to_clues,
     formats,
@@ -35,6 +34,8 @@ from hypercolor import (  # noqa: E402
     solve,
 )
 from hypercolor.colorizer import _dissection_rank  # noqa: E402
+
+from conftest import densify  # noqa: E402
 
 # 8-bit-style guides: distinct levels stay at least one step apart, so an
 # affine map cannot round a difference between two pixels away
@@ -80,8 +81,8 @@ def test_clue_noise_ignores_the_rest_of_the_mask(cube, data, t, seed):
     mask = data.draw(arrays(np.bool_, shape))
     mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
     params = NoiseParams(t=t, seed=seed)
-    alone = clues_to_cube(simulate_clues(cube, mask, params)).data
-    among_all = clues_to_cube(simulate_clues(cube, np.ones(shape, bool), params)).data
+    alone = densify(simulate_clues(cube, mask, params))
+    among_all = densify(simulate_clues(cube, np.ones(shape, bool), params))
     assert np.array_equal(alone[mask], among_all[mask])
 
 

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from hypercolor import (
-    PATTERNS,
-    RowWeights,
-    SamplingPlan,
-    ValidationError,
-    build_mask,
-    compute_row_weights,
-    detect_corners,
-    sample_guided_push,
-    sample_guided_whisk,
-    sample_random,
-    sample_uniform_push,
-    sample_uniform_whisk,
-)
+from hypercolor import PATTERNS, SamplingPlan, ValidationError, build_mask, sampling
+
+
+def mask_of(pattern, rate, shape=None, guide=None, **plan):
+    return build_mask(SamplingPlan(pattern, rate, **plan), shape=shape, guide=guide)
+
+
+def row_weights(guide, alpha=0.7):
+    """The guided push's per-row weights."""
+    corner_map, levels = sampling._guide_features(np.asarray(guide, dtype=np.float64))
+    return sampling._axis_weights(corner_map, levels, 0, sampling._ROW_BAND, alpha)
 
 
 def textured_guide(height=64, width=64, seed=0):
@@ -31,27 +28,27 @@ def textured_guide(height=64, width=64, seed=0):
 class TestThresholdWalk:
     def test_push_rows_pinned_small(self):
         # threshold 4 on unit weights: fire at 0, then every 4th row
-        mask = sample_uniform_push((8, 4), 0.25)
+        mask = mask_of("uniform-push", 0.25, (8, 4))
         assert sorted(np.flatnonzero(mask.any(axis=1))) == [0, 4]
         assert mask[0].all() and mask[4].all()
 
     def test_push_rows_pinned_fractional_threshold(self):
         # threshold 100/3 walks to 0, 34, 67 with carried remainders
-        mask = sample_uniform_push((100, 1), 0.03)
+        mask = mask_of("uniform-push", 0.03, (100, 1))
         assert sorted(np.flatnonzero(mask[:, 0])) == [0, 34, 67]
 
     def test_exact_equality_fires(self):
-        mask = sample_uniform_push((9, 1), 0.5)
+        mask = mask_of("uniform-push", 0.5, (9, 1))
         assert sorted(np.flatnonzero(mask[:, 0])) == [0, 2, 4, 6, 8]
 
     def test_index_zero_always_selected(self):
         for rate in (0.01, 0.1, 0.37, 1.0):
-            assert sample_uniform_push((50, 2), rate)[0].all()
+            assert mask_of("uniform-push", rate, (50, 2))[0].all()
 
 
 class TestUniformPatterns:
     def test_whisk_is_row_column_lattice(self):
-        mask = sample_uniform_whisk((100, 100), 0.01)
+        mask = mask_of("uniform-whisk", 0.01, (100, 100))
         assert int(mask.sum()) == 100
         rows = np.flatnonzero(mask.any(axis=1))
         assert len(rows) == 10
@@ -59,46 +56,47 @@ class TestUniformPatterns:
         assert all(np.array_equal(mask[r], first) for r in rows)
 
     def test_whisk_rate_near_target(self):
-        mask = sample_uniform_whisk((128, 96), 0.04)
+        mask = mask_of("uniform-whisk", 0.04, (128, 96))
         achieved = mask.mean()
         assert abs(achieved - 0.04) < 0.01
 
     def test_rate_one_selects_everything(self):
-        assert sample_uniform_push((7, 5), 1.0).all()
-        assert sample_uniform_whisk((7, 5), 1.0).all()
-        assert sample_random((7, 5), 1.0).all()
+        assert mask_of("uniform-push", 1.0, (7, 5)).all()
+        assert mask_of("uniform-whisk", 1.0, (7, 5)).all()
+        assert mask_of("random", 1.0, (7, 5)).all()
 
+    @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5, float("nan")])
-    def test_bad_rate_rejected(self, rate):
-        with pytest.raises(ValidationError):
-            sample_uniform_push((4, 4), rate)
+    def test_bad_rate_rejected_by_the_plan(self, pattern, rate):
+        with pytest.raises(ValidationError, match="sampling rate"):
+            SamplingPlan(pattern, rate)
 
 
 class TestRandomPattern:
     def test_count_is_floor_of_rate(self):
-        mask = sample_random((30, 30), 0.0537)
+        mask = mask_of("random", 0.0537, (30, 30))
         assert int(mask.sum()) == int(np.floor(0.0537 * 900))
 
     def test_deterministic_per_seed(self):
-        a = sample_random((20, 20), 0.1, seed=3)
-        b = sample_random((20, 20), 0.1, seed=3)
-        c = sample_random((20, 20), 0.1, seed=4)
+        a = mask_of("random", 0.1, (20, 20), seed=3)
+        b = mask_of("random", 0.1, (20, 20), seed=3)
+        c = mask_of("random", 0.1, (20, 20), seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_zero_pixel_rate_rejected(self):
         with pytest.raises(ValidationError):
-            sample_random((5, 5), 0.01)
+            mask_of("random", 0.01, (5, 5))
 
 
 class TestCornerDetection:
     def test_constant_guide_has_no_corners(self):
-        assert detect_corners(np.full((32, 32), 0.7)).shape == (0, 2)
+        assert sampling._detect_corners(np.full((32, 32), 0.7)).shape == (0, 2)
 
     def test_isolated_square_corner_found(self):
         values = np.zeros((32, 32))
         values[10:20, 10:20] = 1.0
-        corners = detect_corners(values)
+        corners = sampling._detect_corners(values)
         assert corners.shape[0] >= 1
         # at least one detection lands near a square corner
         targets = np.array([[10, 10], [10, 19], [19, 10], [19, 19]])
@@ -107,22 +105,25 @@ class TestCornerDetection:
 
     def test_block_lattice_yields_many_corners(self):
         tiles = np.indices((48, 48)).sum(axis=0) // 8 % 2
-        corners = detect_corners(tiles.astype(np.float64))
+        corners = sampling._detect_corners(tiles.astype(np.float64))
         assert corners.shape[0] >= 9
 
     def test_coordinates_in_bounds(self):
-        corners = detect_corners(textured_guide())
+        corners = sampling._detect_corners(textured_guide())
         assert (corners >= 0).all()
         assert (corners[:, 0] < 64).all() and (corners[:, 1] < 64).all()
 
 
 class TestRowWeights:
     def test_constant_guide_gives_unit_weights(self):
-        weights = compute_row_weights(np.full((40, 40), 0.5)).weights
+        weights = row_weights(np.full((40, 40), 0.5))
         assert np.allclose(weights, 1.0, atol=1e-12)
 
-    def test_unit_mean(self):
-        weights = compute_row_weights(textured_guide(seed=2)).weights
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+    def test_positive_with_unit_mean(self, alpha):
+        weights = row_weights(textured_guide(seed=2), alpha)
+        assert weights.shape == (64,)
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
         assert weights.mean() == pytest.approx(1.0, abs=1e-9)
 
     def test_floor_to_peak_ratio_from_rescale(self):
@@ -131,61 +132,52 @@ class TestRowWeights:
         guide = np.zeros((80, 40))
         tiles = np.indices((10, 30)).sum(axis=0) % 2
         guide[5:15, 5:35] = tiles
-        weights = compute_row_weights(guide, alpha=1.0).weights
+        weights = row_weights(guide, alpha=1.0)
         assert weights.min() / weights.max() == pytest.approx(0.1, rel=1e-9)
 
     def test_structure_attracts_weight(self):
         guide = np.zeros((80, 64))
         guide[:40] = textured_guide(40, 64, seed=3)
-        weights = compute_row_weights(guide).weights
+        weights = row_weights(guide)
         assert weights[:40].mean() > weights[40:].mean()
-
-    def test_row_weights_validation(self):
-        with pytest.raises(ValidationError):
-            RowWeights(np.array([1.0, -1.0]))
-        with pytest.raises(ValidationError):
-            RowWeights(np.array([2.0, 2.0]))  # mean 2
-        with pytest.raises(ValidationError):
-            RowWeights(np.ones((2, 2)))
 
 
 class TestGuidedPatterns:
     def test_reduce_to_uniform_on_flat_guide(self):
         flat = np.full((50, 60), 0.3)
-        assert np.array_equal(
-            sample_guided_push(flat, 0.1), sample_uniform_push((50, 60), 0.1)
-        )
-        assert np.array_equal(
-            sample_guided_whisk(flat, 0.04), sample_uniform_whisk((50, 60), 0.04)
-        )
+        for pattern, rate in (("push", 0.1), ("whisk", 0.04)):
+            assert np.array_equal(
+                mask_of(f"guided-{pattern}", rate, guide=flat),
+                mask_of(f"uniform-{pattern}", rate, (50, 60)),
+            )
 
     def test_push_row_count_tracks_rate(self):
         guide = textured_guide(64, 64, seed=1)
-        rows = sample_guided_push(guide, 0.25).any(axis=1).sum()
+        rows = mask_of("guided-push", 0.25, guide=guide).any(axis=1).sum()
         assert abs(int(rows) - 16) <= 1
 
     def test_push_samples_structured_rows_more(self):
         guide = np.zeros((80, 64))
         guide[:40] = textured_guide(40, 64, seed=3)
-        mask = sample_guided_push(guide, 0.2)
+        mask = mask_of("guided-push", 0.2, guide=guide)
         rows = mask.any(axis=1)
         assert rows[:40].sum() > rows[40:].sum()
 
     def test_whisk_rows_subset_of_push_selection(self):
         # whisk reuses the push row walk at the square-root rate
         guide = textured_guide(seed=4)
-        whisk = sample_guided_whisk(guide, 0.04)
-        push_rows = sample_guided_push(guide, 0.2).any(axis=1)
+        whisk = mask_of("guided-whisk", 0.04, guide=guide)
+        push_rows = mask_of("guided-push", 0.2, guide=guide).any(axis=1)
         assert np.array_equal(whisk.any(axis=1), push_rows)
 
     def test_pinned_row_and_pixel_selection(self):
         # index lists recorded from the reference implementation: any drift
         # in the corner or gray-level features moves a row or a pixel
         guide = textured_guide(40, 40, seed=7)
-        push = sample_guided_push(guide, 0.09, 0.7)
+        push = mask_of("guided-push", 0.09, guide=guide, alpha=0.7)
         assert np.flatnonzero(push.any(axis=1)).tolist() == [0, 13, 22, 31]
         assert np.array_equal(push.all(axis=1), push.any(axis=1))
-        whisk = sample_guided_whisk(guide, 0.09, 0.7)
+        whisk = mask_of("guided-whisk", 0.09, guide=guide, alpha=0.7)
         expected = {
             0: [0, 5, 8, 10, 13, 15, 17, 18, 20, 22, 24, 26],
             5: [0, 7, 11, 15, 17, 19, 20, 22, 24, 26, 30, 34],
@@ -209,8 +201,8 @@ class TestGuidedPatterns:
         # diversity-only weights depend on gray levels, not corner layout
         guide = np.zeros((60, 60))
         guide[10:20, 10:20] = 1.0
-        w_corners = compute_row_weights(guide, alpha=1.0).weights
-        w_levels = compute_row_weights(guide, alpha=0.0).weights
+        w_corners = row_weights(guide, alpha=1.0)
+        w_levels = row_weights(guide, alpha=0.0)
         assert not np.allclose(w_corners, w_levels)
 
 
@@ -224,15 +216,15 @@ class TestPlanAndDispatch:
             "guided-whisk",
         )
 
-    def test_dispatch_matches_direct_calls(self):
+    def test_dispatch_matches_the_samplers(self):
         guide = textured_guide(seed=6)
         shape = guide.shape
         cases = {
-            "random": sample_random(shape, 0.05, seed=2),
-            "uniform-push": sample_uniform_push(shape, 0.05),
-            "uniform-whisk": sample_uniform_whisk(shape, 0.05),
-            "guided-push": sample_guided_push(guide, 0.05),
-            "guided-whisk": sample_guided_whisk(guide, 0.05),
+            "random": sampling._sample_random(shape, 0.05, 2),
+            "uniform-push": sampling._sample_uniform_push(shape, 0.05),
+            "uniform-whisk": sampling._sample_uniform_whisk(shape, 0.05),
+            "guided-push": sampling._sample_guided_push(guide, 0.05, 0.7),
+            "guided-whisk": sampling._sample_guided_whisk(guide, 0.05, 0.7),
         }
         for pattern, expected in cases.items():
             plan = SamplingPlan(pattern, 0.05, seed=2)
@@ -252,6 +244,11 @@ class TestPlanAndDispatch:
     def test_needs_shape_or_guide(self):
         with pytest.raises(ValidationError):
             build_mask(SamplingPlan("random", 0.1))
+
+    def test_needs_a_plan(self):
+        # the plan holds the one rate check, so nothing else may stand in
+        with pytest.raises(ValidationError, match="SamplingPlan"):
+            build_mask({"pattern": "random", "rate": 0.1, "seed": 0}, shape=(8, 8))
 
     @pytest.mark.parametrize(
         "kwargs",

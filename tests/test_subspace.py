@@ -90,7 +90,7 @@ class TestProjection:
     def test_full_rank_round_trip_lossless(self):
         cube = random_cube(8, 11, 5, seed=7)
         basis = learn_basis(cube)
-        back = unproject(project(cube, basis), basis)
+        back = unproject(project(cube.data, basis), basis)
         assert np.max(np.abs(back - cube.data)) <= 1e-10
 
     def test_projection_preserves_energy(self):
@@ -106,7 +106,7 @@ class TestProjection:
         cube = random_cube(12, 10, 6, seed=9)
         basis = learn_basis(cube)
         for dim in (1, 3, 5):
-            approx = unproject(project(cube, basis, dim=dim), basis)
+            approx = unproject(project(cube.data, basis, dim=dim), basis)
             err = np.linalg.norm(approx - cube.data)
             expected = np.linalg.norm(basis.singular_values[dim:])
             assert err == pytest.approx(expected, rel=1e-8)
@@ -133,6 +133,16 @@ class TestProjection:
         basis = learn_basis(random_cube(5, 5, 4))
         with pytest.raises(ValidationError):
             project(np.ones(5), basis)
+
+    def test_takes_arrays_and_clue_sets_only(self):
+        cube = random_cube(5, 5, 4)
+        basis = learn_basis(cube)
+        with pytest.raises(ValidationError, match="not numeric"):
+            project(cube, basis)
+        with pytest.raises(ValidationError, match="not numeric"):
+            project([[0.5, "x", 0.1, 0.2]], basis)
+        with pytest.raises(ValidationError, match="4-band axis"):
+            project(0.5, basis)
 
 
 class TestVarianceCurve:
