@@ -25,6 +25,7 @@ from .errors import ConfigError, FormatError, HyperColorError, ValidationError
 from .harness import (
     PATTERNS,
     ExperimentConfig,
+    _PLOT_KINDS,
     _acquire,
     _basis_shape,
     _check_dims,
@@ -222,7 +223,7 @@ def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     cube = formats.read_cube(args.cube)
     mask = formats.read_mask(args.mask) if args.mask is not None else None
-    guide, mask, clues, guide_time, clue_time = _acquire(cube, config, None, mask=mask)
+    guide, mask, clues, guide_time, clue_time = _acquire(cube, config, mask=mask)
 
     if args.out_guide:
         formats.write_guide(guide, args.out_guide)
@@ -568,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-plotdata", help="convert a report JSON to tidy CSV")
     p.add_argument("report", help="report JSON from pipeline or a sweep")
-    p.add_argument("--kind", choices=("summary", "histogram", "dims", "curve"),
+    p.add_argument("--kind", choices=_PLOT_KINDS,
                    default=None, help="CSV shape (default: follow the report)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_export_plotdata)

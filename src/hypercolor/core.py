@@ -58,6 +58,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> None:
+    """Raise ValidationError unless ``seed`` is an integer in [0, 2**63)."""
+    if not (_is_int(seed) and 0 <= seed < 2**63):
+        raise ValidationError(f"seed must be an integer in [0, 2**63), got {seed!r}")
+
+
 def _is_finite_real(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False

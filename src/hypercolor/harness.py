@@ -24,9 +24,7 @@ from functools import partial
 import numpy as np
 
 from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
-from .core import (
-    HyperCube, SpectralResponse, _is_finite_real, _is_int, _resolve_response,
-)
+from .core import HyperCube, SpectralResponse, _is_finite_real, _is_int
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import (
     CSV_COLUMNS,
@@ -327,17 +325,18 @@ def _run_summary(result) -> dict:
     }
 
 
-def _acquire(cube: HyperCube, config: ExperimentConfig, response, mask=None):
+def _acquire(cube: HyperCube, config: ExperimentConfig, mask=None):
     """Noisy guide, mask, and clues under the configured time budget.
 
-    The mask follows the config's sampling plan unless one is given.
+    The guide is drawn with the flat visible response, and the mask
+    follows the config's sampling plan unless one is given.
     """
     pixels = cube.height * cube.width
     guide_total = (
         config.guide_budget if config.guide_budget is not None else config.time_budget
     )
     guide_time = guide_total / pixels
-    guide = simulate_guide(cube, _noise(config, guide_time), response)
+    guide = simulate_guide(cube, _noise(config, guide_time))
 
     if mask is None:
         mask = build_mask(_plan(config), shape=(cube.height, cube.width), guide=guide)
@@ -358,10 +357,8 @@ def _learn_pipeline_basis(cube, clues, config) -> SpectralBasis:
     return learn_basis(pseudo, rank=config.rank, source=f"clues:{clues.count}")
 
 
-def _basis_shape(cube, config, basis=None) -> tuple[int, int]:
-    """(rank, bands) of ``basis``, or of the basis ``config`` learns for ``cube``."""
-    if basis is not None:
-        return basis.rank, basis.bands
+def _basis_shape(cube, config) -> tuple[int, int]:
+    """(rank, bands) of the basis ``config`` learns for ``cube``."""
     if config.rank is not None and config.rank > cube.bands:
         raise ConfigError(f"rank {config.rank} exceeds the cube's {cube.bands} bands")
     return config.rank or cube.bands, cube.bands
@@ -406,24 +403,20 @@ def run_pipeline(
     cube: HyperCube,
     config: ExperimentConfig,
     *,
-    basis: SpectralBasis | None = None,
     model: DimensionModel | None = None,
-    response: SpectralResponse | None = None,
     label: str = "",
 ) -> PipelineResult:
     """Simulate acquisition of ``cube`` per ``config``, reconstruct, score.
+
+    The config, which the report records, is the whole run.
 
     Parameters
     ----------
     cube : HyperCube
         Ground-truth scene; also the source of noisy measurements.
     config : ExperimentConfig
-    basis : SpectralBasis, optional
-        Overrides the basis the config would learn.
     model : DimensionModel, optional
         Used when ``config.dim`` is "auto" to pick the dimension.
-    response : SpectralResponse, optional
-        Guide spectral response; defaults to flat over the visible range.
     label : str
         Name recorded in the result's ``image`` column.
 
@@ -433,13 +426,11 @@ def run_pipeline(
         Acquisition bookkeeping, solver diagnostics, the reconstructed
         cube and mask, and a MetricReport against the ground truth.
     """
-    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
-    return _reconstruct(cube, config, basis=basis, model=model, response=response,
-                        label=label)()
+    _check_dims((config.dim,), *_basis_shape(cube, config))
+    return _reconstruct(cube, config, model=model, label=label)()
 
 
-def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="",
-                 histogram=False):
+def _reconstruct(cube, config, *, model=None, label="", histogram=False):
     """``run_pipeline``'s first stage: acquire, basis, dimension, colorize.
 
     Returns the second stage, which scores the reconstruction, as a thunk.
@@ -447,19 +438,15 @@ def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="
     histogram.
     """
     start = time.perf_counter()
-    resolved = _resolve_response(cube.wavelengths, response)
-    guide, mask, clues, guide_time, clue_time = _acquire(cube, config, resolved)
-    working_basis = (
-        basis if basis is not None else _learn_pipeline_basis(cube, clues, config)
-    )
-    dim = _resolve_dimension(config.dim, clues, working_basis, model)
+    guide, mask, clues, guide_time, clue_time = _acquire(cube, config)
+    basis = _learn_pipeline_basis(cube, clues, config)
+    dim = _resolve_dimension(config.dim, clues, basis, model)
     result = colorize(
         guide,
         clues,
-        basis=working_basis,
+        basis=basis,
         dim=dim,
         apply_edge_filter=config.edge_filter,
-        response_guide=resolved,
         rescale_alpha=config.rescale_alpha,
         method=config.solver,
         tol=config.tol,
@@ -471,8 +458,8 @@ def _reconstruct(cube, config, *, basis=None, model=None, response=None, label="
         "mask_count": clues.count,
         "clue_time": clue_time,
         "guide_time": guide_time,
-        "dimension": dim if dim is not None else working_basis.rank,
-        "basis_rank": working_basis.rank,
+        "dimension": dim if dim is not None else basis.rank,
+        "basis_rank": basis.rank,
         "solver_method": result.solver_method,
         "residuals": result.residuals,
         "iterations": result.iterations,
@@ -561,7 +548,7 @@ def _solve_budget(cube, config, dims, response):
     per candidate dimension. They share the solution, which is freed once
     the last of them has run.
     """
-    guide, _mask, clues, _gt, _ct = _acquire(cube, config, response)
+    guide, _mask, clues, _gt, _ct = _acquire(cube, config)
     basis = _learn_pipeline_basis(cube, clues, config)
     solution, _report = _solve_coefficients(
         guide.values, clues, basis, max(dims), apply_edge_filter=config.edge_filter,
@@ -591,8 +578,6 @@ def grid_search_dimension(
     config: ExperimentConfig,
     dims,
     budgets=None,
-    *,
-    response: SpectralResponse | None = None,
 ) -> DimensionSearchResult:
     """Score every (time budget, dimension) pair of the grid.
 
@@ -600,7 +585,8 @@ def grid_search_dimension(
     once and shared by all candidate dimensions; because the propagation
     matrix does not depend on the spectral channels, one full-width solve
     covers the whole row (dimension d keeps the first d coefficient
-    channels). Budgets default to the config's single budget.
+    channels). Budgets default to the config's single budget; every other
+    setting is the config's.
     """
     dims = tuple(_parse_int(d, "dims") for d in _as_tuple(dims, "dims"))
     if not dims:
@@ -612,9 +598,9 @@ def grid_search_dimension(
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
     _check_dims(dims, *_basis_shape(cube, config))
-    resolved = _resolve_response(cube.wavelengths, response)
+    response = SpectralResponse.visible_flat(cube.wavelengths)
     outcomes = _sweep(
-        lambda run_config: _solve_budget(cube, run_config, dims, resolved),
+        lambda run_config: _solve_budget(cube, run_config, dims, response),
         config, "time_budget", budgets,
     )
     curves = tuple(outcome[0] for outcome in outcomes)
@@ -653,9 +639,9 @@ def train_dimension_model(
 
     Every (cube, budget) pair contributes one training point: features
     from the clue variance curve, label from the EMD-best dimension. At
-    least 6 pairs are required by the quadratic fit.
+    least 6 pairs are required by the quadratic fit. ``cubes`` is a list.
     """
-    cubes = [cubes] if isinstance(cubes, HyperCube) else list(cubes)
+    cubes = _as_tuple(cubes, "cubes")
     budgets = [_parse_float(b, "budgets") for b in _as_tuple(budgets, "budgets")]
     if not cubes or not budgets:
         raise ValidationError("training needs at least one cube and one budget")
@@ -762,15 +748,15 @@ def _sweep(stage, config: ExperimentConfig, field: str, values) -> list[list]:
                      config.workers)
 
 
-def _pipeline_sweep(cube, config, field, values, empty_error, *, basis, model,
-                    label, histogram=False) -> SweepResult:
+def _pipeline_sweep(cube, config, field, values, empty_error, *, label, model=None,
+                    histogram=False) -> SweepResult:
     """One pipeline run with ``field`` set to each of ``values``, in order."""
     if not values:
         raise ValidationError(empty_error)
-    _check_dims((config.dim,), *_basis_shape(cube, config, basis))
+    _check_dims((config.dim,), *_basis_shape(cube, config))
     results = _sweep(
-        lambda run_config: [_reconstruct(cube, run_config, basis=basis, model=model,
-                                         label=label, histogram=histogram)],
+        lambda run_config: [_reconstruct(cube, run_config, model=model, label=label,
+                                         histogram=histogram)],
         config, field, values,
     )
     return SweepResult(tuple(scored for (scored,) in results))
@@ -781,7 +767,6 @@ def time_budget_sweep(
     config: ExperimentConfig,
     ratios,
     *,
-    basis: SpectralBasis | None = None,
     model: DimensionModel | None = None,
     label: str = "",
 ) -> SweepResult:
@@ -790,12 +775,13 @@ def time_budget_sweep(
     Each ratio re-splits the same total clue integration time over the
     pixels its mask selects: denser masks get proportionally shorter,
     noisier exposures. Every run's row carries a per-pixel EMD histogram
-    (50 bins over [0, 1]) for distribution plots.
+    (50 bins over [0, 1]) for distribution plots. Each run is
+    ``run_pipeline`` of the config with its ratio, ``model`` and ``label``.
     """
     return _pipeline_sweep(
         cube, config, "rate", _as_tuple(ratios, "ratios"),
         "sweep needs at least one sampling ratio",
-        basis=basis, model=model, label=label, histogram=True,
+        model=model, label=label, histogram=True,
     )
 
 
@@ -804,20 +790,18 @@ def compare_sampling(
     config: ExperimentConfig,
     patterns=PATTERNS,
     *,
-    basis: SpectralBasis | None = None,
-    model: DimensionModel | None = None,
     label: str = "",
 ) -> SweepResult:
     """Run the pipeline once per sampling pattern, all else equal.
 
     The counter-based noise streams key off absolute pixel positions, so
     pixels shared between two masks receive identical measurements and the
-    comparison isolates the pattern itself.
+    comparison isolates the pattern itself. Each run is ``run_pipeline``
+    of the config with its pattern and ``label``.
     """
     return _pipeline_sweep(
         cube, config, "pattern", _as_tuple(patterns, "patterns"),
-        "comparison needs at least one pattern",
-        basis=basis, model=model, label=label,
+        "comparison needs at least one pattern", label=label,
     )
 
 
@@ -829,26 +813,13 @@ def write_json(data, path, include_timing: bool = False) -> None:
     """Write a result object as deterministic JSON with a "kind" marker.
 
     Accepts SweepResult, DimensionSearchResult, DimensionTrainingResult,
-    PipelineResult, or VarianceCurve. Identical inputs produce identical
-    bytes (timings zeroed unless requested).
+    or PipelineResult. Identical inputs produce identical bytes (timings
+    zeroed unless requested).
     """
     payload = _payload_of(data, include_timing)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
-
-
-def _curve_rows(curve: VarianceCurve) -> list[dict]:
-    explained = np.asarray(curve.explained, dtype=np.float64)
-    floored = np.maximum(explained, max(float(explained.max()) * 1e-15, 1e-300))
-    return [
-        {
-            "dimension": index + 1,
-            "explained": float(value),
-            "log10_explained": float(np.log10(floor_value)),
-        }
-        for index, (value, floor_value) in enumerate(zip(explained, floored))
-    ]
 
 
 def _payload_of(data, include_timing: bool) -> dict:
@@ -860,19 +831,18 @@ def _payload_of(data, include_timing: bool) -> dict:
         return data.to_dict()
     if isinstance(data, PipelineResult):
         return {"kind": "sweep", "rows": [data.to_dict(include_timing)]}
-    if isinstance(data, VarianceCurve):
-        return {"kind": "curve", "rows": _curve_rows(data)}
     if isinstance(data, dict) and "rows" in data:
         return data
     raise ValidationError(f"cannot serialize {type(data).__name__} results")
 
 
+# the kinds of plot data export_plotdata writes
+_PLOT_KINDS = ("summary", "histogram", "dims")
 _HISTOGRAM_COLUMNS = ("image", "pattern", "rate", "bin_lo", "bin_hi", "count")
-# kind -> the row columns it picks and whether the metric columns follow
+# the other kinds -> the row columns they pick before the metric columns
 _ROW_COLUMNS = {
-    "summary": (("image", "pattern", "rate", "t_exposure", "dim"), True),
-    "dims": (("time_budget", "dim", "best"), True),
-    "curve": (("dimension", "explained", "log10_explained"), False),
+    "summary": ("image", "pattern", "rate", "t_exposure", "dim"),
+    "dims": ("time_budget", "dim", "best"),
 }
 
 
@@ -898,10 +868,10 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _picked_csv(rows, columns, with_metrics) -> list[list]:
+def _picked_csv(rows, columns) -> list[list]:
     return [
         [row.get(column, "") if column == "image" else row[column] for column in columns]
-        + (_metric_cells(row["metrics"]) if with_metrics else [])
+        + _metric_cells(row["metrics"])
         for row in rows
     ]
 
@@ -930,25 +900,23 @@ def export_plotdata(data, path, kind: str | None = None,
 
     Kinds: "summary" (one row per run: image, pattern, rate, t_exposure,
     dim, then the metric columns), "histogram" (per-pixel EMD histogram
-    rows from a ratio sweep), "dims" (grid-search rows), and "curve"
-    (variance curve). The default kind follows the data: sweeps export
-    summaries, searches export dims, curves export curves. Identical
-    inputs produce identical bytes.
+    rows from a ratio sweep) and "dims" (grid-search rows, then the metric
+    columns). The default kind follows the data: sweeps export summaries,
+    searches export dims. Identical inputs produce identical bytes.
     """
     payload = _payload_of(data, include_timing)
     resolved = kind if kind is not None else payload.get("kind", "summary")
     if resolved == "sweep":
         resolved = "summary"
     rows = payload["rows"]
+    if resolved not in _PLOT_KINDS:
+        raise ValidationError(f"unknown plot data kind {resolved!r}")
     try:
         if resolved == "histogram":
             header, body = _HISTOGRAM_COLUMNS, _histogram_csv(rows)
-        elif resolved in _ROW_COLUMNS:
-            columns, with_metrics = _ROW_COLUMNS[resolved]
-            header = columns + (CSV_COLUMNS if with_metrics else ())
-            body = _picked_csv(rows, columns, with_metrics)
         else:
-            raise ValidationError(f"unknown plot data kind {resolved!r}")
+            columns = _ROW_COLUMNS[resolved]
+            header, body = columns + CSV_COLUMNS, _picked_csv(rows, columns)
     except ValidationError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -65,6 +65,8 @@ def _paired_arrays(truth, recon):
         raise ValidationError(
             f"truth shape {t.shape} does not match reconstruction {r.shape}"
         )
+    if t.size == 0:
+        raise ValidationError(f"metrics need non-empty inputs, got shape {t.shape}")
     for a in (t, r):
         # NaN fails both comparisons
         if not (-_MAX_MAGNITUDE <= a.min() and a.max() <= _MAX_MAGNITUDE):

@@ -11,13 +11,15 @@ noise can and does push low signals slightly negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    ClueSet, GuideImage, HyperCube, SpectralResponse, _is_finite_real, _resolve_response,
+    ClueSet, GuideImage, HyperCube, SpectralResponse, _check_seed, _is_finite_real,
+    _resolve_response,
 )
 from .errors import ValidationError
 
@@ -64,10 +66,9 @@ class NoiseParams:
             raise ValidationError("read-noise mean mu must be finite")
         if not (_is_finite_real(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"read-noise sigma must be >= 0, got {self.sigma}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**63:
-            raise ValidationError(
-                f"seed must be an integer in [0, 2**63), got {self.seed!r}"
-            )
+        _check_seed(self.seed)
+        if not 0.0 < self.gain < math.inf:
+            raise ValidationError(f"gain rho * t must be positive and finite, got {self.gain}")
 
     @property
     def gain(self) -> float:
@@ -198,8 +199,11 @@ def _measure(
     noise model of the module docstring."""
     gain = params.gain
     photons = _poisson(gain * signal, params.seed, domain, slots)
-    read = params.mu + params.sigma * _gaussian(params.seed, domain, slots)
-    return (photons + read) / gain
+    # a measurement past the float range fails the finiteness check of the
+    # guide or clue set it goes into
+    with np.errstate(over="ignore", invalid="ignore"):
+        read = params.mu + params.sigma * _gaussian(params.seed, domain, slots)
+        return (photons + read) / gain
 
 
 def simulate_guide(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._filters import sobel_gradients, window_sum
-from .core import _guide_values, _is_finite_real
+from .core import _check_seed, _guide_values, _is_finite_real, _is_int
 from .errors import ValidationError
 
 __all__ = ["PATTERNS", "SamplingPlan", "build_mask"]
@@ -56,8 +56,7 @@ class SamplingPlan:
             raise ValidationError(f"sampling rate must be in (0, 1], got {self.rate}")
         if not (_is_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 def _threshold_select(weights: np.ndarray, threshold: float) -> np.ndarray:
@@ -246,8 +245,8 @@ def _sample_guided_whisk(values: np.ndarray, rate: float, alpha: float) -> np.nd
 def build_mask(plan: SamplingPlan, shape: tuple[int, int] | None = None, guide=None) -> np.ndarray:
     """Build the boolean sampling mask a plan describes.
 
-    Guided patterns require ``guide``; the others accept either ``shape``
-    or a guide to borrow the shape from.
+    Guided patterns require ``guide``; the others accept either ``shape``,
+    two integers of at least 1, or a guide to borrow the shape from.
     """
     if not isinstance(plan, SamplingPlan):
         raise ValidationError(f"build_mask needs a SamplingPlan, got {plan!r}")
@@ -257,6 +256,13 @@ def build_mask(plan: SamplingPlan, shape: tuple[int, int] | None = None, guide=N
         shape = values.shape
     if shape is None:
         raise ValidationError("build_mask needs a shape or a guide image")
+    try:
+        height, width = shape
+    except (TypeError, ValueError):
+        height = width = None
+    if not all(_is_int(side) and side >= 1 for side in (height, width)):
+        raise ValidationError(f"shape must be two integers of at least 1, got {shape!r}")
+    shape = (int(height), int(width))
     if plan.pattern == "random":
         return _sample_random(shape, plan.rate, plan.seed)
     if plan.pattern == "uniform-push":

@@ -159,6 +159,17 @@ def _leading_vectors(basis: SpectralBasis, dim: int | None) -> NDArrayF:
     return basis.vectors[:, :dim]
 
 
+def _as_axis_last(values, name: str) -> NDArrayF:
+    """``values`` as a float array with at least one axis, or ValidationError."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} are not numeric ({exc})") from None
+    if array.ndim < 1:
+        raise ValidationError(f"{name} need an axis, got the scalar {values!r}")
+    return array
+
+
 def project(data, basis: SpectralBasis, dim: int | None = None):
     """Coefficients of spectra in the leading ``dim`` basis directions.
 
@@ -180,11 +191,8 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
             data.mask,
             coefficients,
         )
-    try:
-        data = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"spectra are not numeric ({exc})") from None
-    if data.shape[-1:] != (basis.bands,):
+    data = _as_axis_last(data, "spectra")
+    if data.shape[-1] != basis.bands:
         raise ValidationError(
             f"spectra of shape {data.shape} lack the basis's {basis.bands}-band axis"
         )
@@ -194,7 +202,7 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
 def unproject(coefficients, basis: SpectralBasis) -> NDArrayF:
     """Map a coefficient-axis-last array back to spectra; the inverse of
     :func:`project` on the subspace the retained directions span."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
+    coefficients = _as_axis_last(coefficients, "coefficients")
     vectors = _leading_vectors(basis, coefficients.shape[-1])
     return coefficients @ vectors.T
 

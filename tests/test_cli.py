@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 
@@ -15,7 +16,7 @@ from hypercolor import (
     make_guide,
 )
 from hypercolor import harness
-from hypercolor.cli import _CONFIG_FLAGS, main
+from hypercolor.cli import _CONFIG_FLAGS, build_parser, main
 from hypercolor.harness import _FIELD_PARSERS, ExperimentConfig
 from hypercolor.sampling import SamplingPlan, build_mask
 
@@ -184,6 +185,15 @@ class TestSimulate:
         assert payload["clue_time"] == pytest.approx(1.0 / clue_set.count)
         assert payload["guide_time"] == pytest.approx(1.0 / 256)
         assert formats.read_guide(guide).values.shape == (16, 16)
+
+    @pytest.mark.parametrize("flags", [
+        ("--rho", "5e-324"), ("--mu", "1e308", "--sigma", "1e308"),
+    ])
+    def test_noise_past_the_float_range_is_one_error_line(
+        self, tmp_path, capsys, cube_file, flags
+    ):
+        assert_error(capsys, 3, "simulate", str(cube_file), *flags,
+                     "--out-clues", str(tmp_path / "c.hsclue"))
 
     def test_explicit_mask_used_verbatim(self, tmp_path, capsys, cube_file):
         mask = scatter_mask(16, 16, 0.2, seed=9)
@@ -1015,4 +1025,15 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
+        assert excinfo.value.code == 2
+
+    def test_export_offers_the_kinds_export_plotdata_writes(self, tmp_path, capsys):
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        export = commands.choices["export-plotdata"]
+        (kind,) = [action for action in export._actions if action.dest == "kind"]
+        assert kind.choices == harness._PLOT_KINDS == ("summary", "histogram", "dims")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["export-plotdata", str(tmp_path / "r.json"), "--kind", "curve",
+                  "--out", str(tmp_path / "out.csv")])
         assert excinfo.value.code == 2

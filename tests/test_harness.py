@@ -28,17 +28,15 @@ from hypercolor import (
     compare_sampling,
     export_plotdata,
     grid_search_dimension,
-    learn_basis,
     load_config,
     run_pipeline,
     time_budget_sweep,
     train_dimension_model,
     write_json,
 )
-from hypercolor import colorizer, harness
+from hypercolor import harness
 from hypercolor.harness import PipelineResult, _acquire, _best_by_emd, _run_many
 from hypercolor.metrics import _evaluate_with_emd_values
-from hypercolor.noisesim import SpectralResponse
 
 from conftest import random_cube, wavelengths_for
 
@@ -248,18 +246,6 @@ class TestLoadConfig:
 
 
 class TestRunPipeline:
-    def test_response_over_other_wavelengths_rejected_before_any_work(
-        self, monkeypatch
-    ):
-        cube = HyperCube(random_cube(12, 12, 31, seed=2).data,
-                         np.linspace(420.0, 720.0, 31))
-        response = SpectralResponse(np.linspace(800.0, 900.0, 31), np.ones(31))
-        calls = []
-        monkeypatch.setattr(colorizer, "build_system", lambda *a, **kw: calls.append(a))
-        with pytest.raises(ValidationError, match="wavelengths differ"):
-            run_pipeline(cube, fast_config(), response=response)
-        assert calls == []
-
     def test_to_dict_schema(self):
         cube = random_cube(20, 20, 5, rank=3, seed=1)
         result = run_pipeline(cube, fast_config(), label="demo")
@@ -526,15 +512,6 @@ class TestSettingsAreCheckedBeforeSimulation:
         with pytest.raises(ConfigError):
             _RUNS[entry](cube, fast_config(**overrides), dims)
 
-    def test_a_given_basis_sets_the_rank(self, monkeypatch):
-        monkeypatch.setattr(harness, "_acquire", _refuse_acquisition)
-        cube = random_cube(12, 12, 4, rank=3, seed=24)
-        basis = learn_basis(cube, rank=2)
-        with pytest.raises(ConfigError, match="basis rank 2"):
-            run_pipeline(cube, fast_config(dim=3), basis=basis)
-        with pytest.raises(ConfigError, match="full-rank"):
-            compare_sampling(cube, fast_config(dim="auto"), basis=basis)
-
     def test_training_checks_every_cube_before_its_first_search(self, monkeypatch):
         monkeypatch.setattr(harness, "_acquire", _refuse_acquisition)
         wide = random_cube(12, 12, 6, rank=3, seed=24)
@@ -563,11 +540,12 @@ class TestListArguments:
         ("dims", lambda cube, config: grid_search_dimension(cube, config, 3)),
         ("budgets", lambda cube, config: grid_search_dimension(cube, config, (2,), 0.5)),
         ("ratios", lambda cube, config: time_budget_sweep(cube, config, 0.1)),
-        ("budgets", lambda cube, config: train_dimension_model(cube, config, 0.5)),
-        ("dims", lambda cube, config: train_dimension_model(cube, config, (0.5,), 3)),
+        ("budgets", lambda cube, config: train_dimension_model([cube], config, 0.5)),
+        ("dims", lambda cube, config: train_dimension_model([cube], config, (0.5,), 3)),
+        ("cubes", lambda cube, config: train_dimension_model(cube, config, (0.5,))),
         ("patterns", lambda cube, config: compare_sampling(cube, config, "random")),
     ], ids=["search-dims", "search-budgets", "sweep-ratios", "training-budgets",
-            "training-dims", "comparison-patterns"])
+            "training-dims", "training-cubes", "comparison-patterns"])
     def test_one_value_or_a_string_is_no_list(self, costly_stages, name, call):
         cube = random_cube(12, 12, 4, rank=3, seed=24)
         with pytest.raises(ValidationError, match=f"{name} must be a list"):
@@ -628,14 +606,9 @@ class TestSweeps:
         # counter-based streams key off pixel position, so a pixel probed
         # by two different masks sees the same measurement in both runs
         cube = random_cube(20, 20, 5, rank=3, seed=13)
-        response = SpectralResponse.visible_flat(cube.wavelengths)
         config = fast_config()
-        _, mask_a, clues_a, _, _ = _acquire(
-            cube, replace(config, pattern="uniform-push"), response
-        )
-        _, mask_b, clues_b, _, _ = _acquire(
-            cube, replace(config, pattern="uniform-whisk"), response
-        )
+        _, mask_a, clues_a, _, _ = _acquire(cube, replace(config, pattern="uniform-push"))
+        _, mask_b, clues_b, _, _ = _acquire(cube, replace(config, pattern="uniform-whisk"))
         shared = mask_a & mask_b
         assert shared.sum() > 0
         rows_a = {tuple(pos): row for pos, row in zip(np.argwhere(mask_a), clues_a.spectra)}
@@ -943,15 +916,6 @@ class TestWriteJson:
         assert payload["kind"] == "sweep"
         assert [row["image"] for row in payload["rows"]] == ["one"]
 
-    def test_curve_payload(self, tmp_path):
-        curve = VarianceCurve([1.0, 0.1, 0.001], 2, -3.0)
-        path = tmp_path / "curve.json"
-        write_json(curve, path)
-        payload = json.loads(path.read_text())
-        assert payload["kind"] == "curve"
-        assert [row["dimension"] for row in payload["rows"]] == [1, 2, 3]
-        assert payload["rows"][0]["explained"] == 1.0
-
     def test_trailing_newline(self, tmp_path):
         path = tmp_path / "run.json"
         write_json(make_result("x", MetricReport(40.0, 0.5, 0.25, 1.5, 0.125)), path)
@@ -960,6 +924,14 @@ class TestWriteJson:
     def test_unknown_payload_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_json(42, tmp_path / "bad.json")
+
+    def test_a_variance_curve_is_no_report(self, tmp_path):
+        curve = VarianceCurve([1.0, 0.1, 0.001], 2, -3.0)
+        with pytest.raises(ValidationError, match="VarianceCurve"):
+            write_json(curve, tmp_path / "curve.json")
+        with pytest.raises(ValidationError, match="VarianceCurve"):
+            export_plotdata(curve, tmp_path / "curve.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExportPlotdata:
@@ -1007,17 +979,6 @@ class TestExportPlotdata:
             "0.5,3,1,32.0,0.95,0.995,0.1,0.1,0.0\n"
             "2.0,2,1,33.0,0.96,0.996,0.05,0.04,0.0\n"
             "2.0,3,0,31.0,0.9,0.99,0.2,0.05,0.0\n"
-        )
-
-    def test_curve_golden(self, tmp_path):
-        curve = VarianceCurve([1.0, 0.1, 0.001], 2, -3.0)
-        path = tmp_path / "curve.csv"
-        export_plotdata(curve, path)
-        assert path.read_text(encoding="utf-8") == (
-            "dimension,explained,log10_explained\n"
-            "1,1.0,0.0\n"
-            "2,0.1,-1.0\n"
-            "3,0.001,-3.0\n"
         )
 
     def test_histogram_layout(self, tmp_path):

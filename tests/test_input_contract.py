@@ -25,7 +25,10 @@ from hypercolor import (  # noqa: E402
     PATTERNS,
     ConfigError,
     ExperimentConfig,
+    NoiseParams,
+    SamplingPlan,
     ValidationError,
+    build_mask,
     build_system,
     colorize,
     compare_sampling,
@@ -38,6 +41,7 @@ from hypercolor import (  # noqa: E402
     solve,
     time_budget_sweep,
     train_dimension_model,
+    unproject,
 )
 from hypercolor.cli import main  # noqa: E402
 
@@ -129,6 +133,19 @@ single_values = st.integers() | st.floats() | st.text(max_size=8) | st.sampled_f
 not_numeric = st.text(max_size=8) | st.sampled_from(
     [[[1.0, 2.0], [3.0]], [1.0, "x"], {}, object(), [None], 1j]
 )
+# an empty pair of arrays of any rank
+empty_arrays = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
+    lambda shape: 0 in shape).map(np.zeros)
+# a number, or its text, where an array with a coefficient axis is taken
+scalars = forms(st.floats(allow_nan=False) | st.integers(-10**6, 10**6))
+# no (height, width) pair of integers of at least 1
+bad_shapes = junk | st.integers() | st.tuples(
+    st.integers(max_value=0) | fractions | st.sampled_from(["5", True, None]),
+    st.integers(1, 8),
+).flatmap(lambda pair: st.sampled_from([pair, pair[::-1]])) | st.lists(
+    st.integers(1, 8), max_size=4).filter(lambda sides: len(sides) != 2)
+UNGUIDED = ("random", "uniform-push", "uniform-whisk")
+bool_seeds = st.sampled_from([True, False, np.bool_(True), np.bool_(False)])
 
 
 @contextlib.contextmanager
@@ -183,7 +200,17 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
             cube, ExperimentConfig(), v)),
         "comparison patterns alone": (single_values, lambda v: compare_sampling(
             cube, ExperimentConfig(), v)),
+        "training cubes alone": (st.just(cube), lambda v: train_dimension_model(
+            v, ExperimentConfig(), (0.5, 1.0))),
         "evaluate reconstruction": (not_numeric, lambda v: evaluate(cube, v)),
+        "evaluate empty pair": (empty_arrays, lambda v: evaluate(v, v)),
+        "unproject coefficients": (scalars | st.text(max_size=8),
+                                   lambda v: unproject(v, basis)),
+        "build_mask shape": (bad_shapes, lambda v: build_mask(
+            SamplingPlan(data.draw(st.sampled_from(UNGUIDED), label="pattern"), 0.5),
+            shape=v)),
+        "sampling plan seed": (bool_seeds, lambda v: SamplingPlan("random", 0.5, seed=v)),
+        "noise seed": (bool_seeds, lambda v: NoiseParams(t=1.0, seed=v)),
         "colorize dim": (bad_colorize_dims, lambda v: colorize(guide, clues, basis, v)),
         "colorize rescale_alpha": (bad_budgets, lambda v: colorize(
             guide, clues, rescale_alpha=v)),

@@ -581,3 +581,12 @@ class TestEvaluate:
         for metric in (psnr, ssim, gfc, ssv, emd):
             with pytest.raises(ValidationError, match="numeric"):
                 metric(recon, truth)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 4), (3, 0, 4), (2, 2, 0), (0,)])
+    def test_rejects_an_empty_pair(self, shape):
+        empty = np.zeros(shape)
+        with pytest.raises(ValidationError, match="non-empty"):
+            evaluate(empty, empty)
+        for metric in (psnr, ssim, gfc, ssv, emd):
+            with pytest.raises(ValidationError, match="non-empty"):
+                metric(empty, empty)

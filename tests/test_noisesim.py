@@ -30,6 +30,11 @@ class TestNoiseParams:
             {"sigma": -0.1},
             {"seed": -1},
             {"seed": 2**63},
+            {"seed": True},
+            {"seed": np.bool_(False)},
+            {"seed": 3.0},
+            {"t": 1 / 256, "rho": 5e-324},
+            {"t": 1e300, "rho": 1e300},
             {"mu": float("nan")},
             {"t": "x"},
             {"rho": 10**400},
@@ -180,6 +185,19 @@ class TestValidation:
         cube = HyperCube(np.full((2, 2, 2), -0.1), [400.0, 500.0])
         with pytest.raises(ValidationError):
             simulate_guide(cube, params())
+
+    @pytest.mark.parametrize("settings", [
+        {"rho": 1e-300, "sigma": 1e10},
+        {"mu": 1e308, "sigma": 1e308},
+        {"mu": -1e308, "sigma": 0.0, "rho": 0.5},
+    ])
+    def test_measurements_past_the_float_range_rejected(self, settings):
+        cube = random_cube(4, 4, 3, seed=5)
+        noise = params(t=1.0, **settings)
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_guide(cube, noise)
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_clues(cube, np.ones((4, 4), dtype=bool), noise)
 
     def test_response_over_other_wavelengths_rejected(self):
         cube = random_cube(4, 4, 5)

@@ -245,6 +245,21 @@ class TestPlanAndDispatch:
         with pytest.raises(ValidationError):
             build_mask(SamplingPlan("random", 0.1))
 
+    @pytest.mark.parametrize("pattern", ["random", "uniform-push", "uniform-whisk"])
+    @pytest.mark.parametrize("shape", [
+        "ab", 5, (2.5, 5), (-3, 5), (0, 5), (5, 0), (5,), (5, 5, 5), (True, 5),
+        (5, "5"), np.array([[5, 5]]), None,
+    ])
+    def test_shape_is_two_integers_of_at_least_one(self, pattern, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            build_mask(SamplingPlan(pattern, 0.5), shape=shape)
+
+    def test_any_two_integer_shape_is_taken(self):
+        plan = SamplingPlan("uniform-whisk", 0.25)
+        expected = build_mask(plan, shape=(8, 6))
+        for shape in ([8, 6], (np.int64(8), np.uint8(6)), np.array([8, 6])):
+            assert np.array_equal(build_mask(plan, shape=shape), expected)
+
     def test_needs_a_plan(self):
         # the plan holds the one rate check, so nothing else may stand in
         with pytest.raises(ValidationError, match="SamplingPlan"):
@@ -258,6 +273,11 @@ class TestPlanAndDispatch:
             {"pattern": "random", "rate": 1.2},
             {"pattern": "random", "rate": 0.1, "alpha": -0.5},
             {"pattern": "random", "rate": 0.1, "seed": -1},
+            {"pattern": "random", "rate": 0.1, "seed": True},
+            {"pattern": "random", "rate": 0.1, "seed": np.bool_(True)},
+            {"pattern": "random", "rate": 0.1, "seed": 2**63},
+            {"pattern": "random", "rate": 0.1, "seed": 2**70},
+            {"pattern": "random", "rate": 0.1, "seed": 1.0},
             {"pattern": "random", "rate": "x"},
             {"pattern": "random", "rate": 0.1, "alpha": None},
         ],

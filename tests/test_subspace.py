@@ -141,8 +141,20 @@ class TestProjection:
             project(cube, basis)
         with pytest.raises(ValidationError, match="not numeric"):
             project([[0.5, "x", 0.1, 0.2]], basis)
-        with pytest.raises(ValidationError, match="4-band axis"):
+        with pytest.raises(ValidationError, match="need an axis"):
             project(0.5, basis)
+        with pytest.raises(ValidationError, match="4-band axis"):
+            project(np.ones((2, 3)), basis)
+
+    @pytest.mark.parametrize("coefficients, message", [
+        (1.0, "need an axis"), (np.float64(2.0), "need an axis"), ("x", "not numeric"),
+        ([[1.0, "x"]], "not numeric"), ([[1.0], [2.0, 3.0]], "not numeric"),
+        (np.ones((2, 0)), "dimension 0"), (np.ones((2, 5)), "dimension 5"),
+    ])
+    def test_unproject_takes_coefficient_arrays_only(self, coefficients, message):
+        basis = learn_basis(random_cube(5, 5, 4))
+        with pytest.raises(ValidationError, match=message):
+            unproject(coefficients, basis)
 
 
 class TestVarianceCurve:
