@@ -20,7 +20,7 @@ import numpy as np
 
 from . import formats
 from .colorizer import _check_percentiles, colorize
-from .core import HyperCube
+from .core import HyperCube, _check_same_wavelengths
 from .errors import ConfigError, FormatError, HyperColorError, ValidationError
 from .harness import (
     PATTERNS,
@@ -275,6 +275,7 @@ def _cmd_basis_project(args) -> int:
         _print_json({"count": coefficients.count, "dim": coefficients.bands})
     else:
         cube = formats.read_cube(args.cube)
+        _check_same_wavelengths(basis.wavelengths, cube.wavelengths, "basis")
         flat = cube.pixels()
         approx = unproject(project(flat, basis, args.dim), basis)
         lowrank = HyperCube(

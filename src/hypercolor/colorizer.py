@@ -25,8 +25,8 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ._filters import gaussian_kernel_1d, sobel_gradients, window_count, window_sum
 from .core import (
-    ClueSet, HyperCube, SpectralResponse, _guide_values, _is_finite_real, _is_int,
-    _resolve_response,
+    ClueSet, HyperCube, SpectralResponse, _as_float_array, _guide_values,
+    _is_finite_real, _is_int, _resolve_response,
 )
 from .errors import SolverError, ValidationError
 from .subspace import SpectralBasis, project, unproject
@@ -182,12 +182,7 @@ def edge_filter(
     21x21 window, which cancels independent noise. Clues with no neighbors
     in the window always pass through.
     """
-    values = _guide_values(guide)
-    if values.shape != (clues.height, clues.width):
-        raise ValidationError(
-            f"guide shape {values.shape} does not match clues "
-            f"({clues.height}, {clues.width})"
-        )
+    values = _guide_values(guide, (clues.height, clues.width), "clues")
     confidence = edge_confidence(values, low_percentile, high_percentile)
 
     # window sums one band at a time, read back at the clue pixels only
@@ -385,13 +380,8 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
     The clue set may hold raw spectra or basis coefficients; channels are
     solved against the same matrix either way.
     """
-    values = _guide_values(guide)
+    values = _guide_values(guide, (clues.height, clues.width), "clues")
     height, width = values.shape
-    if (clues.height, clues.width) != (height, width):
-        raise ValidationError(
-            f"clues grid ({clues.height}, {clues.width}) does not match "
-            f"guide {values.shape}"
-        )
     if clues.count < 1:
         raise ValidationError("colorization needs at least one clue")
 
@@ -720,14 +710,8 @@ def luminance_rescale(
     type (HyperCube in, HyperCube out), the mask marks flagged pixels.
     """
     is_cube = isinstance(recon, HyperCube)
-    data = recon.data if is_cube else np.asarray(recon, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValidationError(f"reconstruction must be 3-d, got shape {data.shape}")
-    values = _guide_values(guide)
-    if values.shape != data.shape[:2]:
-        raise ValidationError(
-            f"guide shape {values.shape} does not match reconstruction {data.shape[:2]}"
-        )
+    data = recon.data if is_cube else _as_float_array(recon, "reconstruction", 3)
+    values = _guide_values(guide, data.shape[:2], "reconstruction")
     bands = data.shape[2]
     response = _resolve_response(
         recon.wavelengths if is_cube else None, response_guide, bands
@@ -842,9 +826,9 @@ def colorize(
     clues : ClueSet
         Sparse (possibly noisy) spectra.
     basis : SpectralBasis, optional
-        When given, clues are projected into its leading ``dim``
-        directions, channels are solved there, and the result is mapped
-        back to spectra.
+        Learned over the clue wavelengths. When given, clues are
+        projected into its leading ``dim`` directions, channels are solved
+        there, and the result is mapped back to spectra.
     dim : int, optional
         Number of basis directions to keep; requires ``basis``.
     apply_edge_filter : bool

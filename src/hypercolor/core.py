@@ -34,16 +34,37 @@ NDArrayB = npt.NDArray[np.bool_]
 VISIBLE_RANGE_NM = (400.0, 700.0)
 
 
-def _as_float_array(values, name: str, ndim: int) -> NDArrayF:
+def _as_float(values, name: str) -> NDArrayF:
+    """``values`` as a float64 array, or ValidationError."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not numeric ({exc})") from None
-    if arr.ndim != ndim:
+
+
+def _as_float_array(values, name: str, ndim: int | None = None) -> NDArrayF:
+    """``values`` as a finite float64 array of ``ndim`` axes (of at least
+    one when ``ndim`` is None), or ValidationError."""
+    arr = _as_float(values, name)
+    if ndim is None and arr.ndim < 1:
+        raise ValidationError(f"{name} need an axis, got the scalar {values!r}")
+    if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
+
+
+def _as_mask(mask, shape: tuple[int, int], what: str) -> NDArrayB:
+    """``mask`` as a boolean array over the ``shape`` grid of ``what``, or
+    ValidationError."""
+    try:
+        mask = np.asarray(mask, dtype=bool)
+    except ValueError as exc:
+        raise ValidationError(f"mask is not boolean ({exc})") from None
+    if mask.shape != shape:
+        raise ValidationError(f"mask shape {mask.shape} does not match {what} {shape}")
+    return mask
 
 
 def _check_wavelengths(wavelengths: NDArrayF) -> None:
@@ -51,6 +72,17 @@ def _check_wavelengths(wavelengths: NDArrayF) -> None:
         raise ValidationError("wavelength axis is empty")
     if wavelengths.size > 1 and not np.all(np.diff(wavelengths) > 0):
         raise ValidationError("wavelengths must be strictly increasing")
+
+
+def _check_same_wavelengths(given: NDArrayF, expected: NDArrayF, what: str) -> None:
+    """Raise ValidationError unless the ``what`` wavelengths ``given`` are
+    the data's ``expected`` ones, band for band."""
+    if not np.array_equal(given, expected):
+        raise ValidationError(
+            f"{what} wavelengths differ from the data's: {given.size} bands over "
+            f"{given[0]:g}-{given[-1]:g} nm against {expected.size} over "
+            f"{expected[0]:g}-{expected[-1]:g} nm"
+        )
 
 
 # numpy's numbers count; bools do not
@@ -167,11 +199,7 @@ class ClueSet:
     def __post_init__(self):
         wavelengths = _as_float_array(self.wavelengths, "wavelengths", 1)
         _check_wavelengths(wavelengths)
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != (self.height, self.width):
-            raise ValidationError(
-                f"mask shape {mask.shape} does not match ({self.height}, {self.width})"
-            )
+        mask = _as_mask(self.mask, (self.height, self.width), "clue grid")
         spectra = _as_float_array(self.spectra, "clue spectra", 2)
         count = int(mask.sum())
         if spectra.shape != (count, wavelengths.size):
@@ -223,7 +251,7 @@ class SpectralResponse:
     @classmethod
     def visible_flat(cls, wavelengths) -> "SpectralResponse":
         """Uniform weight over bands inside the visible window, zero outside."""
-        wl = _as_float_array(np.asarray(wavelengths, dtype=np.float64), "wavelengths", 1)
+        wl = _as_float_array(wavelengths, "wavelengths", 1)
         lo, hi = VISIBLE_RANGE_NM
         weights = ((wl >= lo) & (wl <= hi)).astype(np.float64)
         if weights.sum() == 0:
@@ -261,17 +289,19 @@ def _resolve_response(
         raise ValidationError(
             f"response covers {response.weights.size} bands, cube has {bands}"
         )
-    if wavelengths is not None and not np.array_equal(response.wavelengths, wavelengths):
-        raise ValidationError("response wavelengths differ from the data's wavelengths")
+    if wavelengths is not None:
+        _check_same_wavelengths(response.wavelengths, wavelengths, "response")
     return response
 
 
-def _guide_values(guide) -> NDArrayF:
+def _guide_values(guide, grid: tuple[int, int] | None = None, what: str = "") -> NDArrayF:
     """Pixel values of a GuideImage, or of a 2-d array checked as a
-    GuideImage checks them: numeric, finite and non-empty."""
-    if isinstance(guide, GuideImage):
-        return guide.values
-    return GuideImage(guide).values
+    GuideImage checks them: numeric, finite and non-empty. With ``grid``,
+    ValidationError unless they lie on the ``grid`` of ``what``."""
+    values = guide.values if isinstance(guide, GuideImage) else GuideImage(guide).values
+    if grid is not None and values.shape != grid:
+        raise ValidationError(f"guide shape {values.shape} does not match {what} {grid}")
+    return values
 
 
 def make_guide(cube: HyperCube, response: SpectralResponse | None = None) -> GuideImage:
@@ -296,10 +326,6 @@ def make_guide(cube: HyperCube, response: SpectralResponse | None = None) -> Gui
 
 def cube_to_clues(cube: HyperCube, mask) -> ClueSet:
     """Extract the spectra of a cube at the True positions of ``mask``."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (cube.height, cube.width):
-        raise ValidationError(
-            f"mask shape {mask.shape} does not match cube {cube.shape[:2]}"
-        )
+    mask = _as_mask(mask, (cube.height, cube.width), "cube")
     spectra = cube.data[mask]
     return ClueSet(cube.height, cube.width, cube.wavelengths, mask, spectra)

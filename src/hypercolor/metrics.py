@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._filters import gaussian_kernel_1d
-from .core import HyperCube
+from .core import HyperCube, _as_float
 from .errors import ValidationError
 
 __all__ = [
@@ -56,11 +56,8 @@ CSV_COLUMNS = ("psnr", "ssim", "gfc", "ssv", "emd", "wall_ms")
 
 
 def _paired_arrays(truth, recon):
-    try:
-        t, r = (a.data if isinstance(a, HyperCube) else np.asarray(a, dtype=np.float64)
-                for a in (truth, recon))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"metrics require numeric inputs ({exc})") from None
+    t, r = (a.data if isinstance(a, HyperCube) else _as_float(a, name)
+            for a, name in ((truth, "truth"), (recon, "reconstruction")))
     if t.shape != r.shape:
         raise ValidationError(
             f"truth shape {t.shape} does not match reconstruction {r.shape}"

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    ClueSet, GuideImage, HyperCube, SpectralResponse, _check_seed, _is_finite_real,
-    _resolve_response,
+    ClueSet, GuideImage, HyperCube, SpectralResponse, _as_mask, _check_seed,
+    _is_finite_real, _resolve_response,
 )
 from .errors import ValidationError
 
@@ -231,11 +231,7 @@ def simulate_clues(cube: HyperCube, mask, params: NoiseParams) -> ClueSet:
     the same noise no matter which mask carried it.
     """
     _require_radiance(cube.data, "scene cube")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (cube.height, cube.width):
-        raise ValidationError(
-            f"mask shape {mask.shape} does not match cube {cube.shape[:2]}"
-        )
+    mask = _as_mask(mask, (cube.height, cube.width), "cube")
     if not mask.any():
         raise ValidationError("mask selects no pixels")
     bands = cube.bands

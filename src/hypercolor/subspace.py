@@ -16,7 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClueSet, HyperCube, NDArrayF, _is_int
+from .core import (
+    ClueSet, HyperCube, NDArrayF, _as_float_array, _check_same_wavelengths,
+    _check_wavelengths, _is_int,
+)
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -44,7 +47,8 @@ class SpectralBasis:
 
     ``vectors`` is (bands, rank) with orthonormal columns ordered by
     non-increasing singular value; each column's largest-magnitude entry is
-    positive, which pins the otherwise arbitrary sign.
+    positive, which pins the otherwise arbitrary sign. Every array is
+    finite, and the wavelengths strictly increase.
     """
 
     wavelengths: NDArrayF
@@ -53,11 +57,10 @@ class SpectralBasis:
     source: str = ""
 
     def __post_init__(self):
-        wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        singular_values = np.asarray(self.singular_values, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValidationError(f"basis vectors must be 2-d, got shape {vectors.shape}")
+        wavelengths = _as_float_array(self.wavelengths, "basis wavelengths", 1)
+        _check_wavelengths(wavelengths)
+        vectors = _as_float_array(self.vectors, "basis vectors", 2)
+        singular_values = _as_float_array(self.singular_values, "singular values", 1)
         bands, rank = vectors.shape
         if wavelengths.shape != (bands,):
             raise ValidationError(
@@ -69,8 +72,6 @@ class SpectralBasis:
             raise ValidationError(
                 f"expected {rank} singular values, got {singular_values.shape}"
             )
-        if not np.all(np.isfinite(vectors)) or not np.all(np.isfinite(singular_values)):
-            raise ValidationError("basis contains non-finite values")
         if np.any(singular_values < 0):
             raise ValidationError("singular values must be nonnegative")
         if np.any(np.diff(singular_values) > 1e-12 * max(singular_values[0], 1.0)):
@@ -130,8 +131,7 @@ def learn_basis(
     gram = np.zeros((bands, bands), dtype=np.float64)
     total_pixels = 0
     for cube in cubes:
-        if not np.array_equal(cube.wavelengths, wavelengths):
-            raise ValidationError("training cubes must share the wavelength axis")
+        _check_same_wavelengths(cube.wavelengths, wavelengths, "training cube")
         pixels = cube.pixels()
         gram += pixels.T @ pixels
         total_pixels += pixels.shape[0]
@@ -159,30 +159,16 @@ def _leading_vectors(basis: SpectralBasis, dim: int | None) -> NDArrayF:
     return basis.vectors[:, :dim]
 
 
-def _as_axis_last(values, name: str) -> NDArrayF:
-    """``values`` as a float array with at least one axis, or ValidationError."""
-    try:
-        array = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} are not numeric ({exc})") from None
-    if array.ndim < 1:
-        raise ValidationError(f"{name} need an axis, got the scalar {values!r}")
-    return array
-
-
 def project(data, basis: SpectralBasis, dim: int | None = None):
     """Coefficients of spectra in the leading ``dim`` basis directions.
 
-    Accepts a spectral-axis-last array (returns an array of coefficients)
-    or a ClueSet (returns a ClueSet in coefficient space with a placeholder
-    1..dim wavelength axis).
+    Accepts a finite spectral-axis-last array (returns an array of
+    coefficients) or a ClueSet over the basis's wavelengths (returns a
+    ClueSet in coefficient space with a placeholder 1..dim wavelength axis).
     """
     vectors = _leading_vectors(basis, dim)
     if isinstance(data, ClueSet):
-        if data.bands != basis.bands:
-            raise ValidationError(
-                f"clues have {data.bands} bands, basis has {basis.bands}"
-            )
+        _check_same_wavelengths(basis.wavelengths, data.wavelengths, "basis")
         coefficients = data.spectra @ vectors
         return ClueSet(
             data.height,
@@ -191,7 +177,7 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
             data.mask,
             coefficients,
         )
-    data = _as_axis_last(data, "spectra")
+    data = _as_float_array(data, "spectra")
     if data.shape[-1] != basis.bands:
         raise ValidationError(
             f"spectra of shape {data.shape} lack the basis's {basis.bands}-band axis"
@@ -200,9 +186,9 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
 
 
 def unproject(coefficients, basis: SpectralBasis) -> NDArrayF:
-    """Map a coefficient-axis-last array back to spectra; the inverse of
-    :func:`project` on the subspace the retained directions span."""
-    coefficients = _as_axis_last(coefficients, "coefficients")
+    """Map a finite coefficient-axis-last array back to spectra; the inverse
+    of :func:`project` on the subspace the retained directions span."""
+    coefficients = _as_float_array(coefficients, "coefficients")
     vectors = _leading_vectors(basis, coefficients.shape[-1])
     return coefficients @ vectors.T
 
@@ -224,9 +210,9 @@ class VarianceCurve:
     log_min_variance: float
 
     def __post_init__(self):
-        explained = np.asarray(self.explained, dtype=np.float64)
-        if explained.ndim != 1 or explained.size < 1:
-            raise ValidationError("explained variance must be a 1-d array")
+        explained = _as_float_array(self.explained, "explained variance", 1)
+        if explained.size < 1:
+            raise ValidationError("explained variance is empty")
         if not 1 <= self.elbow_index <= explained.size:
             raise ValidationError(
                 f"elbow index {self.elbow_index} outside [1, {explained.size}]"
@@ -264,9 +250,9 @@ def _check_full_rank(rank: int, bands: int, what: str, error=ValidationError) ->
 def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
     """Variance of clue coefficients along every direction of a full basis.
 
-    Requires a full-rank basis (rank == bands) and at least 8 clues; the
-    coefficients are mean-centered before the per-direction sample
-    variance. The floor of the curve is what read and shot noise leave
+    Requires a full-rank basis (rank == bands) over the clues' wavelengths
+    and at least 8 clues; the coefficients are mean-centered before the
+    per-direction sample variance. The floor of the curve is what read and shot noise leave
     behind, so its log feeds dimension prediction alongside the elbow.
     """
     _check_full_rank(basis.rank, basis.bands, "variance_curve")
@@ -275,10 +261,7 @@ def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
             f"variance_curve needs at least {_MIN_CLUES_FOR_CURVE} clues, "
             f"got {clues.count}"
         )
-    if clues.bands != basis.bands:
-        raise ValidationError(
-            f"clues have {clues.bands} bands, basis has {basis.bands}"
-        )
+    _check_same_wavelengths(basis.wavelengths, clues.wavelengths, "basis")
     coefficients = clues.spectra @ basis.vectors
     explained = coefficients.var(axis=0, ddof=1)
     floor = max(float(explained.max()) * 1e-15, 1e-300)
@@ -350,9 +333,7 @@ def fit_dimension_model(curves, labels) -> DimensionModel:
     count].
     """
     curves = list(curves)
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 1:
-        raise ValidationError("labels must be a 1-d sequence")
+    labels = _as_float_array(labels, "labels", 1)
     if len(curves) != labels.size:
         raise ValidationError(
             f"{len(curves)} training curves but {labels.size} labels"

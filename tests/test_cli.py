@@ -13,6 +13,7 @@ from hypercolor import (
     HyperCube,
     evaluate,
     formats,
+    learn_basis,
     make_guide,
 )
 from hypercolor import harness
@@ -427,6 +428,28 @@ class TestBasis:
         formats.write_cube(HyperCube(random_cube(16, 16, 4, seed=5).data, shifted), other)
         assert_error(capsys, 3, "basis", "learn", str(cube_file), str(other),
                      "--rank", "2", "--out", str(tmp_path / "basis.hsb"))
+
+    @pytest.mark.parametrize("command", [
+        ["colorize", "--guide", "{guide}", "--clues", "{clues}", "--out", "{out}"],
+        ["estimate-dim", "--clues", "{clues}"],
+        ["basis", "project", "--clues", "{clues}", "--out", "{out}"],
+        ["basis", "project", "--cube", "{cube}", "--out", "{out}"],
+    ], ids=["colorize", "estimate-dim", "project-clues", "project-cube"])
+    def test_basis_over_other_wavelengths_is_runtime_error(
+        self, tmp_path, capsys, cube_file, guide_file, clue_file, command
+    ):
+        # the inputs lie over 420-680 nm, the basis over 800-900 nm
+        far = HyperCube(random_cube(16, 16, 4, seed=5).data,
+                        wavelengths_for(4, (800.0, 900.0)))
+        basis_path = tmp_path / "far.hsb"
+        formats.write_basis(learn_basis(far), basis_path)
+        out = tmp_path / "out"
+        argv = [arg.format(guide=guide_file, clues=clue_file, cube=cube_file, out=out)
+                for arg in command]
+        assert main([*argv, "--basis", str(basis_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis wavelengths differ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_estimate_dim_nested_and_top_level_agree(
         self, tmp_path, capsys, deep_cube_file, deep_clue_file

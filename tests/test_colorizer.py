@@ -806,6 +806,21 @@ class TestLuminanceRescale:
         # a bare array has no wavelengths to compare, only a band count
         luminance_rescale(recon.data, guide, response_guide=response)
 
+    @pytest.mark.parametrize("recon, message", [
+        ("x", "not numeric"), (np.full((4, 4, 3), np.nan), "non-finite"),
+        (np.ones((4, 4)), "3-dimensional"),
+    ])
+    def test_reconstruction_is_a_finite_cube(self, recon, message):
+        guide = np.ones((4, 4))
+        flat = SpectralResponse(wavelengths_for(3), np.ones(3))
+        with pytest.raises(ValidationError, match=message):
+            luminance_rescale(recon, guide, response_guide=flat)
+
+    def test_guide_on_another_grid_rejected(self):
+        recon = random_cube(4, 4, 3)
+        with pytest.raises(ValidationError, match="guide shape"):
+            luminance_rescale(recon, np.ones((4, 5)))
+
     def test_non_finite_guide_rejected(self):
         recon = random_cube(4, 4, 3)
         guide = make_guide(recon).values.copy()
@@ -894,6 +909,13 @@ class TestColorize:
         cube = random_cube(8, 8, 3, seed=37)
         with pytest.raises(ValidationError):
             colorize(make_guide(cube), full_clues(cube), **controls)
+        assert costly_stages == []
+
+    def test_basis_over_other_wavelengths_rejected_before_any_work(self, costly_stages):
+        cube = random_cube(8, 8, 3, seed=37)
+        far = learn_basis(HyperCube(cube.data, wavelengths_for(3, (800.0, 900.0))))
+        with pytest.raises(ValidationError, match="basis wavelengths differ"):
+            colorize(make_guide(cube), full_clues(cube), far)
         assert costly_stages == []
 
     def test_dim_without_basis_rejected(self):

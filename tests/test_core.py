@@ -115,10 +115,16 @@ class TestClueSet:
         with pytest.raises(ValidationError):
             ClueSet(3, 3, wavelengths_for(2), mask, np.ones((2, 2)))
 
-    def test_rejects_mask_shape_mismatch(self):
+    @pytest.mark.parametrize("mask, message", [
+        (np.zeros((4, 3), dtype=bool), "mask shape"),
+        ([[True, False, True], [True], [False] * 3], "not boolean"),
+    ])
+    def test_rejects_a_mask_off_the_grid(self, mask, message):
         cube = random_cube(3, 3, 2)
-        with pytest.raises(ValidationError):
-            cube_to_clues(cube, np.zeros((4, 3), dtype=bool))
+        with pytest.raises(ValidationError, match=message):
+            cube_to_clues(cube, mask)
+        with pytest.raises(ValidationError, match=message):
+            ClueSet(3, 3, cube.wavelengths, mask, np.ones((9, 2)))
 
     def test_allows_negative_spectra(self):
         mask = np.zeros((2, 2), dtype=bool)

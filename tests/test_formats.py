@@ -186,6 +186,19 @@ class TestBasisFormat:
         flat = np.frombuffer(blob[offset : offset + 8 * bands * rank], dtype="<f8")
         assert np.array_equal(flat[:bands], basis.vectors[:, 0])
 
+    @pytest.mark.parametrize("wavelengths, message", [
+        ([400.0, np.nan, 600.0, 700.0], "non-finite"),
+        ([700.0, 600.0, 500.0, 400.0], "increasing"),
+    ])
+    def test_bad_wavelengths_rejected(self, tmp_path, wavelengths, message):
+        path = tmp_path / "b.hsb"
+        write_basis(learn_basis(random_cube(5, 5, 4, seed=3)), path)
+        blob = bytearray(path.read_bytes())
+        blob[12 : 12 + 8 * 4] = np.asarray(wavelengths, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=message):
+            read_basis(path)
+
     def test_rank_above_bands_rejected(self, tmp_path):
         path = tmp_path / "b.hsb"
         blob = b"HSB1" + struct.pack("<II", 2, 3) + b"\x00" * 200

@@ -1,8 +1,9 @@
 """The input contract, checked by generation at the library and CLI layers.
 
-A bad run setting, sweep list or solver control ends in a ``ConfigError``
-or ``ValidationError`` before any costly stage runs, and a CLI command
-ends with exit 0, 2 or 3, never a traceback.
+A bad run setting, sweep list, solver control, array, mask, guide grid or
+basis wavelength axis ends in a ``ConfigError`` or ``ValidationError``
+before any costly stage runs, and a CLI command ends with exit 0, 2 or 3,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -23,25 +24,35 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hypercolor import (  # noqa: E402
     PATTERNS,
+    ClueSet,
     ConfigError,
     ExperimentConfig,
     NoiseParams,
     SamplingPlan,
+    SpectralBasis,
+    SpectralResponse,
     ValidationError,
+    VarianceCurve,
     build_mask,
     build_system,
     colorize,
     compare_sampling,
     cube_to_clues,
+    edge_filter,
     evaluate,
+    fit_dimension_model,
     formats,
     grid_search_dimension,
     learn_basis,
+    luminance_rescale,
     make_guide,
+    project,
+    simulate_clues,
     solve,
     time_budget_sweep,
     train_dimension_model,
     unproject,
+    variance_curve,
 )
 from hypercolor.cli import main  # noqa: E402
 
@@ -148,6 +159,32 @@ UNGUIDED = ("random", "uniform-push", "uniform-whisk")
 bool_seeds = st.sampled_from([True, False, np.bool_(True), np.bool_(False)])
 
 
+def spoiled(array):
+    """``array`` as nested lists with one entry None, NaN or +-inf; or text;
+    or ragged rows."""
+    def put(index, bad):
+        values = np.array(array, dtype=object)
+        values.flat[index] = bad
+        return values.tolist()
+
+    return st.builds(
+        put, st.integers(0, array.size - 1),
+        st.sampled_from([None, math.nan, math.inf, -math.inf]),
+    ) | st.text(max_size=8) | st.just([array.tolist(), [1.0]])
+
+
+def off_grid(shape):
+    """Arrays of ones of any shape of at most 3 axes but ``shape``, or
+    ragged rows."""
+    return st.lists(st.integers(0, 14), max_size=3).filter(
+        lambda sides: tuple(sides) != shape).map(np.ones) | st.just(
+        [np.ones(shape[1]).tolist(), [1.0]])
+
+
+# a basis whose wavelengths are shifted off the data's
+wavelength_shifts = st.floats(1.0, 300.0) | st.floats(-300.0, -1.0)
+
+
 @contextlib.contextmanager
 def costly_stages_refused():
     with pytest.MonkeyPatch.context() as patch:
@@ -204,8 +241,6 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
             v, ExperimentConfig(), (0.5, 1.0))),
         "evaluate reconstruction": (not_numeric, lambda v: evaluate(cube, v)),
         "evaluate empty pair": (empty_arrays, lambda v: evaluate(v, v)),
-        "unproject coefficients": (scalars | st.text(max_size=8),
-                                   lambda v: unproject(v, basis)),
         "build_mask shape": (bad_shapes, lambda v: build_mask(
             SamplingPlan(data.draw(st.sampled_from(UNGUIDED), label="pattern"), 0.5),
             shape=v)),
@@ -232,6 +267,48 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
     values, call = entries[entry]
     value = data.draw(values, label="value")
     with costly_stages_refused(), pytest.raises((ConfigError, ValidationError)):
+        call(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(scene, data):
+    cube, guide, clues, basis, _ = scene
+    flat = SpectralResponse.visible_flat(cube.wavelengths)
+    parts = {"wavelengths": basis.wavelengths, "vectors": basis.vectors,
+             "singular_values": basis.singular_values}
+    curves = [VarianceCurve(np.ones(BANDS), 1, -float(n)) for n in range(6)]
+    entries = {
+        "project spectra": (scalars | spoiled(np.ones((3, BANDS))),
+                            lambda v: project(v, basis)),
+        "unproject coefficients": (scalars | spoiled(np.ones((3, BANDS))),
+                                   lambda v: unproject(v, basis)),
+        "luminance_rescale reconstruction": (spoiled(cube.data), lambda v: luminance_rescale(
+            v, guide, response_guide=flat)),
+        **{f"basis {name}": (spoiled(part), lambda v, name=name: SpectralBasis(
+            **{**parts, name: v})) for name, part in parts.items()},
+        "variance curve": (spoiled(np.ones(BANDS)), lambda v: VarianceCurve(v, 1, 0.0)),
+        "dimension labels": (spoiled(np.full(6, 3.0)),
+                             lambda v: fit_dimension_model(curves, v)),
+        "clue set mask": (off_grid(cube.shape[:2]), lambda v: ClueSet(
+            cube.height, cube.width, cube.wavelengths, v, clues.spectra)),
+        "cube_to_clues mask": (off_grid(cube.shape[:2]), lambda v: cube_to_clues(cube, v)),
+        "simulate_clues mask": (off_grid(cube.shape[:2]), lambda v: simulate_clues(
+            cube, v, NoiseParams(t=1.0))),
+        "edge_filter guide": (off_grid(cube.shape[:2]), lambda v: edge_filter(clues, v)),
+        "build_system guide": (off_grid(cube.shape[:2]), lambda v: build_system(v, clues)),
+        "luminance_rescale guide": (off_grid(cube.shape[:2]),
+                                    lambda v: luminance_rescale(cube, v)),
+        **{f"{name} basis wavelengths": (wavelength_shifts, lambda v, call=call: call(
+            SpectralBasis(basis.wavelengths + v, basis.vectors, basis.singular_values)))
+           for name, call in (("project", lambda b: project(clues, b)),
+                              ("variance_curve", lambda b: variance_curve(clues, b)),
+                              ("colorize", lambda b: colorize(guide, clues, b)))},
+    }
+    entry = data.draw(st.sampled_from(sorted(entries)), label="entry")
+    values, call = entries[entry]
+    value = data.draw(values, label="value")
+    with costly_stages_refused(), pytest.raises(ValidationError):
         call(value)
 
 

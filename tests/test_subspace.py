@@ -5,6 +5,8 @@ from conftest import full_clues, random_cube, rank1_cube, wavelengths_for
 from hypercolor import (
     ClueSet,
     DimensionModel,
+    HyperCube,
+    SpectralBasis,
     ValidationError,
     estimate_dimension,
     fit_dimension_model,
@@ -17,6 +19,11 @@ from hypercolor import (
     write_model,
 )
 from hypercolor.subspace import _kneedle_elbow
+
+
+def far_basis(cube):
+    """A full basis of ``cube``'s pixels over 800-900 nm instead of its own axis."""
+    return learn_basis(HyperCube(cube.data, wavelengths_for(cube.bands, (800.0, 900.0))))
 
 
 def noisy_clues(cube, sigma, seed=0):
@@ -86,6 +93,31 @@ class TestLearnBasis:
             learn_basis([cube, shifted])
 
 
+class TestSpectralBasis:
+    def parts(self):
+        basis = learn_basis(random_cube(5, 5, 4))
+        return basis.wavelengths, basis.vectors, basis.singular_values
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_text_is_not_numeric(self, slot):
+        parts = list(self.parts())
+        parts[slot] = "x"
+        with pytest.raises(ValidationError, match="not numeric"):
+            SpectralBasis(*parts)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_values_rejected(self, slot):
+        parts = [part.copy() for part in self.parts()]
+        parts[slot].flat[-1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            SpectralBasis(*parts)
+
+    def test_wavelengths_must_increase(self):
+        wavelengths, vectors, singular_values = self.parts()
+        with pytest.raises(ValidationError, match="increasing"):
+            SpectralBasis(wavelengths[::-1], vectors, singular_values)
+
+
 class TestProjection:
     def test_full_rank_round_trip_lossless(self):
         cube = random_cube(8, 11, 5, seed=7)
@@ -146,6 +178,18 @@ class TestProjection:
         with pytest.raises(ValidationError, match="4-band axis"):
             project(np.ones((2, 3)), basis)
 
+    def test_non_finite_arrays_rejected(self):
+        basis = learn_basis(random_cube(5, 5, 4))
+        with pytest.raises(ValidationError, match="non-finite"):
+            unproject([[None] * 4], basis)
+        with pytest.raises(ValidationError, match="non-finite"):
+            project(np.full((3, 4), np.inf), basis)
+
+    def test_basis_over_other_wavelengths_rejected(self):
+        cube = random_cube(5, 5, 4)
+        with pytest.raises(ValidationError, match="basis wavelengths differ"):
+            project(full_clues(cube), far_basis(cube))
+
     @pytest.mark.parametrize("coefficients, message", [
         (1.0, "need an axis"), (np.float64(2.0), "need an axis"), ("x", "not numeric"),
         ([[1.0, "x"]], "not numeric"), ([[1.0], [2.0, 3.0]], "not numeric"),
@@ -197,6 +241,19 @@ class TestVarianceCurve:
         cube = random_cube(6, 6, 4)
         with pytest.raises(ValidationError):
             variance_curve(full_clues(cube), learn_basis(cube, rank=3))
+
+    def test_basis_over_other_wavelengths_rejected(self):
+        cube = random_cube(6, 6, 4)
+        with pytest.raises(ValidationError, match="basis wavelengths differ"):
+            variance_curve(full_clues(cube), far_basis(cube))
+
+    @pytest.mark.parametrize("explained, message", [
+        ("x", "not numeric"), ([1.0, np.nan], "non-finite"), ([[1.0]], "1-dimensional"),
+        ([], "empty"),
+    ])
+    def test_explained_is_a_finite_curve(self, explained, message):
+        with pytest.raises(ValidationError, match=message):
+            VarianceCurve(explained, 1, 0.0)
 
     def test_requires_eight_clues(self):
         cube = random_cube(6, 6, 4)
@@ -279,6 +336,14 @@ class TestDimensionModel:
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ValidationError, match="8 training curves but 7 labels"):
             fit_dimension_model(self.curves(n=8), [3] * 7)
+
+    @pytest.mark.parametrize("labels, message", [
+        ("abcdef", "not numeric"), ([3.0] * 5 + [np.nan], "non-finite"),
+        ([[3.0] * 6], "1-dimensional"),
+    ])
+    def test_labels_are_finite_numbers(self, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_dimension_model(self.curves(n=6), labels)
 
     def test_json_round_trip(self, tmp_path):
         model = DimensionModel(1.5, 0.8, -0.4, 0.05, -0.02, 0.03, clamp_max=16)
