@@ -30,7 +30,6 @@ from .harness import (
     _basis_shape,
     _check_dims,
     _config_values,
-    _csv_text,
     _plan,
     _resolve_dimension,
     _run_summary,
@@ -44,14 +43,7 @@ from .harness import (
 )
 from .metrics import CSV_COLUMNS, _metric_cells, evaluate
 from .sampling import build_mask
-from .subspace import (
-    estimate_dimension,
-    learn_basis,
-    project,
-    read_model,
-    unproject,
-    write_model,
-)
+from .subspace import estimate_dimension, learn_basis, project, unproject
 
 __all__ = ["main"]
 
@@ -292,7 +284,7 @@ def _cmd_basis_project(args) -> int:
 def _cmd_estimate_dim(args) -> int:
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis)
-    model = read_model(args.model) if args.model is not None else None
+    model = formats.read_model(args.model) if args.model is not None else None
     _check_dims(("auto",), basis.rank, basis.bands)
     dim, curve = estimate_dimension(clues, basis, model)
     _print_json({
@@ -312,7 +304,7 @@ def _cmd_colorize(args) -> int:
     guide = formats.read_guide(args.guide)
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis) if args.basis else None
-    model = read_model(args.model) if args.model else None
+    model = formats.read_model(args.model) if args.model else None
     dim = _resolve_dimension(config.dim, clues, basis, model)
     result = colorize(
         guide,
@@ -336,7 +328,7 @@ def _cmd_metrics(args) -> int:
     recon = formats.read_cube(args.recon)
     payload = evaluate(truth, recon).to_dict(args.include_timing)
     if args.format == "csv":
-        sys.stdout.write(_csv_text(CSV_COLUMNS, [_metric_cells(payload)]))
+        sys.stdout.write(formats._csv_text(CSV_COLUMNS, [_metric_cells(payload)]))
     else:
         print(json.dumps(payload, sort_keys=True))
     return 0
@@ -344,7 +336,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cube, config = _harness_inputs(args)
-    model = read_model(args.model) if args.model else None
+    model = formats.read_model(args.model) if args.model else None
     result = run_pipeline(cube, config, model=model, label=Path(args.cube).stem)
 
     # artifacts land together or not at all; a failure removes only the
@@ -387,7 +379,7 @@ def _cmd_sweep_dim(args) -> int:
 def _cmd_sweep_budget(args) -> int:
     cube, config = _harness_inputs(args)
     ratios = _parse_list(args.ratios, "--ratios")
-    model = read_model(args.model) if args.model else None
+    model = formats.read_model(args.model) if args.model else None
     result = time_budget_sweep(
         cube, config, ratios, model=model, label=Path(args.cube).stem
     )
@@ -407,7 +399,7 @@ def _cmd_train_dim_model(args) -> int:
     budgets = _parse_list(args.budgets, "--budgets")
     dims = _parse_list(args.dims, "--dims") if args.dims else None
     result = train_dimension_model(cubes, config, budgets, dims)
-    write_model(result.model, args.out)
+    formats.write_model(result.model, args.out)
     if args.report:
         write_json(result, args.report)
     _print_json({
@@ -419,13 +411,8 @@ def _cmd_train_dim_model(args) -> int:
 
 
 def _cmd_export_plotdata(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        # not UTF-8, not JSON, or an integer too long to convert
-        except ValueError as exc:
-            raise FormatError(f"{args.report}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict) or "rows" not in payload:
+    payload = formats._read_json_object(args.report, "report")
+    if "rows" not in payload:
         raise FormatError(f"{args.report}: not a harness report (missing rows)")
     export_plotdata(payload, args.out, kind=args.kind)
     _print_json({"rows": len(payload["rows"]), "out": args.out})

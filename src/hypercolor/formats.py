@@ -1,22 +1,27 @@
-"""Binary file formats for cubes, clue sets, bases, guides, and masks.
+"""File formats: binary cubes, clue sets, bases, guides and masks, the
+report and dimension-model JSON, and plot-data CSV.
 
 All multi-byte integers and floats are little-endian. Magic numbers name the
 container: ``HSC1`` dense cube, ``HSK1`` clue set, ``HSB1`` spectral basis.
 Guides travel as 16-bit PGM with a JSON sidecar holding the linear scale;
-masks travel as binary PBM where a 1 bit marks a sampled pixel.
+masks travel as binary PBM where a 1 bit marks a sampled pixel. Every reader
+error names the file, a fault its container finds (NaN, say) included.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import ClueSet, GuideImage, HyperCube
 from .errors import FormatError, TruncatedFileError, ValidationError
-from .subspace import SpectralBasis
+from .subspace import DimensionModel, SpectralBasis
 
 __all__ = [
     "read_cube",
@@ -29,6 +34,8 @@ __all__ = [
     "write_guide",
     "read_mask",
     "write_mask",
+    "read_model",
+    "write_model",
 ]
 
 MAGIC_CUBE = b"HSC1"
@@ -36,10 +43,6 @@ MAGIC_CLUES = b"HSK1"
 MAGIC_BASIS = b"HSB1"
 # the smallest positive float64, a guide scale's floor
 _SMALLEST_SCALE = float(np.nextafter(0.0, 1.0))
-
-
-def _read_file(path) -> bytes:
-    return Path(path).read_bytes()
 
 
 def _check_magic(blob: bytes, magic: bytes, path) -> None:
@@ -66,9 +69,12 @@ def _no_trailing(blob: bytes, offset: int, path) -> None:
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after payload")
 
 
-def _finite_or_raise(arr: np.ndarray, what: str, path) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{path}: {what} contains non-finite values")
+def _build(container, path, *args):
+    """``container(*args)``, its ValidationError naming the file."""
+    try:
+        return container(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,7 @@ def write_cube(cube: HyperCube, path) -> None:
 
 def read_cube(path) -> HyperCube:
     """Read an HSC1 cube. Round-trips :func:`write_cube` bit-exactly."""
-    blob = _read_file(path)
+    blob = Path(path).read_bytes()
     _check_magic(blob, MAGIC_CUBE, path)
     header, offset = _take(blob, 4, 12, "header", path)
     height, width, bands = struct.unpack("<III", header)
@@ -103,9 +109,7 @@ def read_cube(path) -> HyperCube:
         .astype(np.float64)
         .reshape(height, width, bands)
     )
-    _finite_or_raise(wavelengths, "wavelength axis", path)
-    _finite_or_raise(data, "pixel data", path)
-    return HyperCube(data, wavelengths)
+    return _build(HyperCube, path, data, wavelengths)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ def write_clues(clues: ClueSet, path) -> None:
 
 def read_clues(path) -> ClueSet:
     """Read an HSK1 clue set; records are re-sorted into row-major order."""
-    blob = _read_file(path)
+    blob = Path(path).read_bytes()
     _check_magic(blob, MAGIC_CLUES, path)
     header, offset = _take(blob, 4, 16, "header", path)
     height, width, bands, count = struct.unpack("<IIII", header)
@@ -161,11 +165,9 @@ def read_clues(path) -> ClueSet:
     if np.any(np.diff(linear) == 0):
         raise FormatError(f"{path}: duplicate clue positions")
     spectra = records["spectrum"].astype(np.float64)[order]
-    _finite_or_raise(wavelengths, "wavelength axis", path)
-    _finite_or_raise(spectra, "clue spectra", path)
     mask = np.zeros((height, width), dtype=bool)
     mask[rows, cols] = True
-    return ClueSet(height, width, wavelengths, mask, spectra)
+    return _build(ClueSet, path, height, width, wavelengths, mask, spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ def write_basis(basis: SpectralBasis, path) -> None:
 
 def read_basis(path) -> SpectralBasis:
     """Read an HSB1 basis. Round-trips :func:`write_basis` bit-exactly."""
-    blob = _read_file(path)
+    blob = Path(path).read_bytes()
     _check_magic(blob, MAGIC_BASIS, path)
     header, offset = _take(blob, 4, 8, "header", path)
     bands, rank = struct.unpack("<II", header)
@@ -200,9 +202,9 @@ def read_basis(path) -> SpectralBasis:
     wavelengths = np.frombuffer(raw_wl, dtype="<f8").astype(np.float64)
     singular_values = np.frombuffer(raw_sv, dtype="<f8").astype(np.float64)
     vectors = np.frombuffer(raw_vec, dtype="<f8").reshape((bands, rank), order="F")
-    _finite_or_raise(vectors, "basis vectors", path)
-    return SpectralBasis(
-        wavelengths, np.ascontiguousarray(vectors), singular_values, source=str(path)
+    return _build(
+        SpectralBasis, path,
+        wavelengths, np.ascontiguousarray(vectors), singular_values, str(path),
     )
 
 
@@ -267,7 +269,7 @@ def _parse_netpbm_header(blob: bytes, magic: bytes, token_count: int, path):
 
 def read_guide(path) -> GuideImage:
     """Read a PGM guide; applies the sidecar scale when one is present."""
-    blob = _read_file(path)
+    blob = Path(path).read_bytes()
     (width, height, maxval), offset = _parse_netpbm_header(blob, b"P5", 3, path)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: empty dimensions {width}x{height}")
@@ -287,7 +289,7 @@ def read_guide(path) -> GuideImage:
             raise FormatError(
                 f"{sidecar}: not a guide sidecar with a numeric scale ({exc!r})"
             ) from None
-    return GuideImage(ints.astype(np.float64) * scale)
+    return _build(GuideImage, path, ints.astype(np.float64) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def write_mask(mask, path) -> None:
 
 def read_mask(path) -> np.ndarray:
     """Read a binary PBM mask back to a boolean array."""
-    blob = _read_file(path)
+    blob = Path(path).read_bytes()
     (width, height), offset = _parse_netpbm_header(blob, b"P4", 2, path)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: empty dimensions {width}x{height}")
@@ -318,3 +320,68 @@ def read_mask(path) -> np.ndarray:
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(height, row_bytes)
     bits = np.unpackbits(packed, axis=1)[:, :width]
     return bits.astype(bool)
+
+
+# ---------------------------------------------------------------------------
+# JSON objects: reports, configs and dimension models
+
+
+def _read_json_object(path, what: str, error=FormatError) -> dict:
+    """The JSON object a UTF-8 file holds, or ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        # not UTF-8, not JSON, or an integer too long to convert
+        except ValueError as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return payload
+
+
+def _write_json_object(payload: dict, path) -> None:
+    """Write ``payload`` as ASCII JSON: sorted keys, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+_MODEL_FIELDS = tuple(spec.name for spec in fields(DimensionModel))
+
+
+def write_model(model: DimensionModel, path) -> None:
+    """Write a dimension model as JSON with named coefficients."""
+    _write_json_object({name: getattr(model, name) for name in _MODEL_FIELDS}, path)
+
+
+def read_model(path) -> DimensionModel:
+    """Read a dimension model written by :func:`write_model`."""
+    payload = _read_json_object(path, "model file")
+    missing = [name for name in _MODEL_FIELDS if name not in payload]
+    if missing:
+        raise ValidationError(f"{path}: model file missing fields {missing}")
+    kwargs = {name: payload[name] for name in _MODEL_FIELDS}
+    for name, value in kwargs.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not np.isfinite(value):
+            raise FormatError(
+                f"{path}: model field {name} must be a finite number, got {value!r}"
+            )
+    kwargs["clamp_min"] = int(kwargs["clamp_min"])
+    kwargs["clamp_max"] = int(kwargs["clamp_max"])
+    return _build(DimensionModel, path, *kwargs.values())
+
+
+# ---------------------------------------------------------------------------
+# CSV plot data
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of cells; a bool writes 1 or 0."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [int(cell) if isinstance(cell, bool) else cell for cell in row] for row in rows
+    )
+    return text.getvalue()

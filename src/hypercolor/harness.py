@@ -12,7 +12,6 @@ explicitly requested.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -26,6 +25,7 @@ import numpy as np
 from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
 from .core import HyperCube, SpectralResponse, _is_finite_real, _is_int
 from .errors import ConfigError, FormatError, ValidationError
+from .formats import _csv_text, _read_json_object, _write_json_object
 from .metrics import (
     CSV_COLUMNS,
     MetricReport,
@@ -241,14 +241,7 @@ def _config_values(path=None, env=None, env_fields=None) -> dict:
     names = [spec.name for spec in fields(ExperimentConfig)]
     data = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            # not UTF-8, not JSON, or an integer too long to convert
-            except ValueError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+        data = _read_json_object(path, "config", ConfigError)
         unknown = sorted(set(data) - set(names))
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
@@ -816,10 +809,7 @@ def write_json(data, path, include_timing: bool = False) -> None:
     or PipelineResult. Identical inputs produce identical bytes (timings
     zeroed unless requested).
     """
-    payload = _payload_of(data, include_timing)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_json_object(_payload_of(data, include_timing), path)
 
 
 def _payload_of(data, include_timing: bool) -> dict:
@@ -844,28 +834,6 @@ _ROW_COLUMNS = {
     "summary": ("image", "pattern", "rate", "t_exposure", "dim"),
     "dims": ("time_budget", "dim", "best"),
 }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
-    if isinstance(value, int):
-        return str(value)
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_text(header, rows) -> str:
-    """CSV text of a header and rows of cells, one line each."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _picked_csv(rows, columns) -> list[list]:

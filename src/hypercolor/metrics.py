@@ -86,7 +86,8 @@ def _spectra(t, r):
 def psnr(truth, recon) -> float:
     """Peak signal-to-noise ratio in dB, peak taken from the truth.
 
-    A perfect reconstruction returns ``inf``.
+    A perfect reconstruction returns ``inf``; any other pair scores a
+    finite value, also where ``peak**2 / mse`` leaves float64's range.
     """
     return _psnr(*_paired_arrays(truth, recon))
 
@@ -97,9 +98,15 @@ def _psnr(t, r) -> float:
         raise ValidationError("PSNR needs a positive truth peak")
     diff = t - r
     mse = float(np.mean(np.square(diff, out=diff)))
-    if mse == 0:
+    if mse > 0 and 0 < peak * peak / mse < math.inf:
+        return 10.0 * math.log10(peak * peak / mse)
+    if np.array_equal(t, r):
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    # the squared errors or the ratio left float64's range: score the
+    # errors scaled by the largest, whose logarithms still fit
+    gap = float(np.max(np.abs(t - r)))
+    scaled = float(np.mean(np.square((t - r) / gap)))
+    return 20.0 * (math.log10(peak) - math.log10(gap)) - 10.0 * math.log10(scaled)
 
 
 def ssim(truth, recon) -> float:

@@ -10,8 +10,7 @@ regression to a reconstruction dimension.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from .core import (
     ClueSet, HyperCube, NDArrayF, _as_float_array, _check_same_wavelengths,
     _check_wavelengths, _is_int,
 )
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "SpectralBasis",
@@ -32,8 +31,6 @@ __all__ = [
     "variance_curve",
     "fit_dimension_model",
     "estimate_dimension",
-    "read_model",
-    "write_model",
 ]
 
 _ORTHONORMAL_TOL = 1e-10
@@ -372,40 +369,3 @@ def estimate_dimension(
         return curve.elbow_index, curve
     return min(model.predict(curve), curve.dimensions), curve
 
-
-# ---------------------------------------------------------------------------
-# Model serialization (JSON)
-
-_MODEL_FIELDS = tuple(spec.name for spec in fields(DimensionModel))
-
-
-def write_model(model: DimensionModel, path) -> None:
-    """Write a dimension model as JSON with named coefficients."""
-    payload = {name: getattr(model, name) for name in _MODEL_FIELDS}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def read_model(path) -> DimensionModel:
-    """Read a dimension model written by :func:`write_model`."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path}: model file is not JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: model file must hold a JSON object")
-    missing = [name for name in _MODEL_FIELDS if name not in payload]
-    if missing:
-        raise ValidationError(f"{path}: model file missing fields {missing}")
-    kwargs = {name: payload[name] for name in _MODEL_FIELDS}
-    for name, value in kwargs.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not np.isfinite(value):
-            raise FormatError(
-                f"{path}: model field {name} must be a finite number, got {value!r}"
-            )
-    kwargs["clamp_min"] = int(kwargs["clamp_min"])
-    kwargs["clamp_max"] = int(kwargs["clamp_max"])
-    return DimensionModel(**kwargs)

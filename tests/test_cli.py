@@ -1024,6 +1024,22 @@ class TestMalformedInput:
         config.write_bytes(content)
         assert_error(capsys, 2, "pipeline", str(cube_file), "--config", str(config))
 
+    # a bad config exits 2; a bad report or model file exits 3
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}", b"[1, 2]"])
+    @pytest.mark.parametrize("kind, code", [("config", 2), ("report", 3), ("model", 3)])
+    def test_json_file_that_is_no_object_names_the_file(
+        self, tmp_path, capsys, cube_file, kind, code, content
+    ):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        argv = {
+            "config": ["pipeline", str(cube_file), "--config", str(path)],
+            "report": ["export-plotdata", str(path), "--out", str(tmp_path / "o.csv")],
+            "model": ["pipeline", str(cube_file), "--model", str(path)],
+        }[kind]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize(
         "rows", [[{"image": "scene"}], "not a list", [[1, 2]], [{"pattern": "x"}, 3]]
     )

@@ -232,3 +232,11 @@ class TestPackageSurface:
 
         exported = [name for name in hypercolor.__all__ if name != "__version__"]
         assert [name for name in exported if not called(name)] == []
+
+    def test_only_formats_reads_or_writes_json_and_csv_files(self):
+        # json.dumps stays open to the CLI, which prints JSON to stdout
+        codec = re.compile(r"\bjson\.(?:load|dump)\(|\bcsv\.writer\b")
+        package = Path(__file__).resolve().parents[1] / "src" / "hypercolor"
+        users = [path.name for path in sorted(package.glob("*.py"))
+                 if codec.search(path.read_text())]
+        assert users == ["formats.py"]

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -6,24 +8,33 @@ import pytest
 
 from conftest import random_cube, scatter_mask, wavelengths_for
 from hypercolor import (
+    ConfigError,
     FormatError,
     GuideImage,
     HyperCube,
     TruncatedFileError,
     ValidationError,
     cube_to_clues,
+    export_plotdata,
     learn_basis,
+    load_config,
     read_basis,
     read_clues,
     read_cube,
     read_guide,
     read_mask,
+    read_model,
     write_basis,
     write_clues,
     write_cube,
     write_guide,
     write_mask,
 )
+
+
+def names(path, fault=""):
+    """A pattern for an error that starts with ``path`` and tells ``fault``."""
+    return f"^{re.escape(str(path))}: .*{fault}"
 
 
 def f32_cube(height, width, bands, seed=0):
@@ -103,6 +114,16 @@ class TestCubeFormat:
             HyperCube(np.ones((2, 2, 2)), [500.0, 400.0])
 
 
+    def test_decreasing_wavelengths_name_the_file(self, tmp_path):
+        path = tmp_path / "c.hsc"
+        write_cube(f32_cube(2, 2, 3), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:40] = np.array([600.0, 500.0, 400.0], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=names(path, "increasing")):
+            read_cube(path)
+
+
 class TestClueFormat:
     def test_round_trip(self, tmp_path):
         cube = f32_cube(6, 7, 4, seed=5)
@@ -156,6 +177,12 @@ class TestClueFormat:
         with pytest.raises(FormatError):
             read_clues(path)
 
+    def test_nan_spectrum_names_the_file(self, tmp_path):
+        path = tmp_path / "c.hsk"
+        self._raw_clue_file(path, [(1, 1, (np.nan, 1.0))])
+        with pytest.raises(ValidationError, match=names(path, "non-finite")):
+            read_clues(path)
+
     def test_truncated_records(self, tmp_path):
         cube = f32_cube(4, 4, 3)
         clues = cube_to_clues(cube, scatter_mask(4, 4, 0.5))
@@ -197,6 +224,16 @@ class TestBasisFormat:
         blob[12 : 12 + 8 * 4] = np.asarray(wavelengths, dtype="<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match=message):
+            read_basis(path)
+
+    def test_vectors_not_orthonormal_name_the_file(self, tmp_path):
+        basis = learn_basis(random_cube(5, 5, 4, seed=3), rank=2)
+        path = tmp_path / "b.hsb"
+        write_basis(basis, path)
+        blob = bytearray(path.read_bytes())
+        blob[12 + 8 * 4 + 8 * 2:] = (2.0 * basis.vectors).astype("<f8").tobytes(order="F")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=names(path, "orthonormal")):
             read_basis(path)
 
     def test_rank_above_bands_rejected(self, tmp_path):
@@ -294,3 +331,38 @@ class TestMaskFormat:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(TruncatedFileError):
             read_mask(path)
+
+
+NOT_JSON_OBJECTS = {"not JSON": b"{'rate': 0.1}", "not UTF-8": b"\xff\xfe{}",
+                    "not an object": b"[1, 2]"}
+
+
+class TestJsonObjects:
+    @pytest.mark.parametrize("content", NOT_JSON_OBJECTS.values(), ids=NOT_JSON_OBJECTS)
+    def test_model_file_is_a_format_error(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=names(path)):
+            read_model(path)
+
+    @pytest.mark.parametrize("content", NOT_JSON_OBJECTS.values(), ids=NOT_JSON_OBJECTS)
+    def test_config_file_is_a_config_error(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=names(path)):
+            load_config(path, env={})
+
+
+class TestPlotDataCsv:
+    def test_label_with_comma_quote_and_newline_round_trips(self, tmp_path):
+        label = 'scene, "b"\nside'
+        scores = {"psnr_db": 30.0, "ssim": 0.5, "gfc": 0.9, "ssv": 0.1, "emd": 0.01,
+                  "wall_ms": 0.0}
+        row = {"image": label, "pattern": "random", "rate": 0.1, "t_exposure": 1.0,
+               "dim": None, "metrics": scores}
+        path = tmp_path / "plot.csv"
+        export_plotdata({"kind": "sweep", "rows": [row]}, path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            _, back = list(csv.reader(handle))
+        assert back == [label, "random", "0.1", "1.0", "",
+                        "30.0", "0.5", "0.9", "0.1", "0.01", "0.0"]

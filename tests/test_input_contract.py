@@ -1,7 +1,7 @@
 """The input contract, checked by generation at the library and CLI layers.
 
-A bad run setting, sweep list, solver control, array, mask, guide grid or
-basis wavelength axis ends in a ``ConfigError`` or ``ValidationError``
+A bad run setting, sweep list, solver control, array, mask, guide grid,
+metric pair, or basis or response wavelength axis ends in a ``ConfigError`` or ``ValidationError``
 before any costly stage runs, and a CLI command ends with exit 0, 2 or 3,
 never a traceback.
 """
@@ -48,6 +48,7 @@ from hypercolor import (  # noqa: E402
     make_guide,
     project,
     simulate_clues,
+    simulate_guide,
     solve,
     time_budget_sweep,
     train_dimension_model,
@@ -304,6 +305,12 @@ def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(scene,
            for name, call in (("project", lambda b: project(clues, b)),
                               ("variance_curve", lambda b: variance_curve(clues, b)),
                               ("colorize", lambda b: colorize(guide, clues, b)))},
+        **{f"{name} response wavelengths": (wavelength_shifts, lambda v, call=call: call(
+            SpectralResponse(cube.wavelengths + v, np.ones(BANDS))))
+           for name, call in (("make_guide", lambda r: make_guide(cube, r)),
+                              ("simulate_guide", lambda r: simulate_guide(
+                                  cube, NoiseParams(t=1.0), r)))},
+        "evaluate mismatched pair": (off_grid(cube.shape), lambda v: evaluate(cube, v)),
     }
     entry = data.draw(st.sampled_from(sorted(entries)), label="entry")
     values, call = entries[entry]

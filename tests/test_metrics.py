@@ -26,7 +26,7 @@ from hypercolor import (
     ssv,
 )
 from hypercolor import metrics
-from hypercolor.harness import _csv_text
+from hypercolor.formats import _csv_text
 from hypercolor.metrics import _evaluate_with_emd_values
 
 
@@ -161,6 +161,31 @@ class TestPsnr:
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError):
             psnr(np.ones((4, 4)), bad)
+
+    def test_ratio_that_underflows_scores_its_finite_value(self):
+        # peak**2 / mse = 1e-600 / 1e140 is 0 in float64
+        truth = np.full((12, 12, 4), 1e-300)
+        recon = np.full((12, 12, 4), 1e70)
+        assert psnr(truth, recon) == pytest.approx(-7400.0, abs=1e-9)
+        # evaluate gets past PSNR; this pair has no mass for GFC or EMD
+        with pytest.raises(ValidationError, match="GFC"):
+            evaluate(truth, recon)
+
+    def test_ratio_that_overflows_is_not_a_perfect_score(self):
+        # peak**2 / mse = 1e150 / ~1e-320 is inf in float64
+        truth = np.zeros((12, 12, 4))
+        truth[0, 0, 0] = 1e75
+        recon = truth.copy()
+        recon[1:] += 1e-160
+        # 528 of the 576 values are off by 1e-160
+        expected = 20.0 * (75 + 160) - 10.0 * math.log10(528 / 576)
+        assert psnr(truth, recon) == pytest.approx(expected, abs=1e-9)
+        assert evaluate(truth, recon).psnr_db == psnr(truth, recon)
+
+    def test_squared_errors_that_underflow_are_not_a_perfect_score(self):
+        # each squared error, 1e-400, is 0 in float64
+        truth = np.full((12, 12, 4), 1e-200)
+        assert psnr(truth, 2.0 * truth) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSsim:
