@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .colorizer import _check_percentiles, colorize
 from .core import HyperCube, _check_same_wavelengths
-from .errors import ConfigError, FormatError, HyperColorError, ValidationError
+from .errors import ConfigError, FormatError, HyperColorError
 from .harness import (
     PATTERNS,
     ExperimentConfig,
@@ -29,9 +28,9 @@ from .harness import (
     _acquire,
     _basis_shape,
     _check_dims,
+    _colorize_clues,
     _config_values,
     _plan,
-    _resolve_dimension,
     _run_summary,
     compare_sampling,
     export_plotdata,
@@ -52,18 +51,11 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_npy(path) -> np.ndarray:
-    try:
-        return np.load(path)
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a plain .npy array ({exc})") from None
-
-
 def _parse_wavelengths(text: str, bands: int) -> np.ndarray:
     """Accept start:stop (linspace over the band count), a comma list, or
     a .npy path."""
     if text.endswith(".npy"):
-        return _load_npy(text)
+        return formats._load_npy(text)
     try:
         if ":" in text:
             start, stop = text.split(":")
@@ -193,7 +185,7 @@ def _cmd_convert(args) -> int:
     src = Path(args.input)
     dst = Path(args.output)
     if src.suffix == ".npy":
-        data = _load_npy(src)
+        data = formats._load_npy(src)
         if data.ndim != 3:
             raise ConfigError(f"{src}: expected a 3-d array, got shape {data.shape}")
         if args.wavelengths is None:
@@ -204,7 +196,7 @@ def _cmd_convert(args) -> int:
     else:
         cube = formats.read_cube(src)
         if dst.suffix == ".npy":
-            np.save(dst, cube.data)
+            formats._save_npy(cube.data, dst)
         else:
             formats.write_cube(cube, dst)
     _print_json({"height": cube.height, "width": cube.width, "bands": cube.bands})
@@ -259,7 +251,7 @@ def _cmd_basis_project(args) -> int:
     basis = formats.read_basis(args.basis)
     if (args.clues is None) == (args.cube is None):
         raise ConfigError("basis project needs exactly one of --clues or --cube")
-    _resolve_dimension(args.dim, None, basis, None)
+    _check_dims((args.dim,), basis.rank, basis.bands)
     if args.clues is not None:
         clues = formats.read_clues(args.clues)
         coefficients = project(clues, basis, args.dim)
@@ -297,27 +289,11 @@ def _cmd_estimate_dim(args) -> int:
 
 def _cmd_colorize(args) -> int:
     config = _config_from_args(args)
-    try:
-        _check_percentiles(args.canny_low, args.canny_high)
-    except ValidationError as exc:
-        raise ConfigError(f"--canny-low/--canny-high: {exc}") from None
     guide = formats.read_guide(args.guide)
     clues = formats.read_clues(args.clues)
     basis = formats.read_basis(args.basis) if args.basis else None
     model = formats.read_model(args.model) if args.model else None
-    dim = _resolve_dimension(config.dim, clues, basis, model)
-    result = colorize(
-        guide,
-        clues,
-        basis=basis,
-        dim=dim,
-        apply_edge_filter=config.edge_filter,
-        method=config.solver,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        canny_low=args.canny_low,
-        canny_high=args.canny_high,
-    )
+    result = _colorize_clues(guide, clues, basis, config, model)
     formats.write_cube(result.cube, args.out)
     _print_json({"dimension": result.dimension, **_run_summary(result)})
     return 0
@@ -493,10 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help='dimension model for --dim auto')
     p.add_argument("--no-edge-filter", action="store_true",
                    help="skip the edge-aware clue prefilter")
-    p.add_argument("--canny-low", type=float, default=70.0,
-                   help="weak edge percentile for the prefilter (default 70)")
-    p.add_argument("--canny-high", type=float, default=90.0,
-                   help="strong edge percentile for the prefilter (default 90)")
     _add_config_flags(p, "--solver", "--tol", "--max-iter")
     p.add_argument("--out", required=True, help="output cube path")
     p.set_defaults(handler=_cmd_colorize)

@@ -94,9 +94,15 @@ def canny_edges(
     3x3 Sobel kernels, ridges are thinned by non-maximum suppression along
     the gradient direction, and hysteresis keeps weak edges only when they
     8-connect to a strong one. Thresholds sit at the given percentiles of
-    the gradient-magnitude distribution over the whole image.
+    the gradient-magnitude distribution over the whole image; they must
+    be finite with 0 <= low <= high <= 100, or ValidationError is raised.
     """
-    _check_percentiles(low_percentile, high_percentile)
+    if not (_is_finite_real(low_percentile) and _is_finite_real(high_percentile)
+            and 0.0 <= low_percentile <= high_percentile <= 100.0):
+        raise ValidationError(
+            f"percentiles must satisfy 0 <= low <= high <= 100, "
+            f"got ({low_percentile}, {high_percentile})"
+        )
     values = _guide_values(guide)
     smoothed = ndimage.gaussian_filter(values, sigma=1.4, mode="reflect")
     grad_x, grad_y = sobel_gradients(smoothed)
@@ -117,16 +123,6 @@ def canny_edges(
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
     keep = np.unique(labels[strong])
     return np.isin(labels, keep[keep > 0])
-
-
-def _check_percentiles(low_percentile, high_percentile) -> None:
-    """Raise ValidationError unless both are finite numbers, 0 <= low <= high <= 100."""
-    if not (_is_finite_real(low_percentile) and _is_finite_real(high_percentile)
-            and 0.0 <= low_percentile <= high_percentile <= 100.0):
-        raise ValidationError(
-            f"percentiles must satisfy 0 <= low <= high <= 100, "
-            f"got ({low_percentile}, {high_percentile})"
-        )
 
 
 def _nonmax_suppress(magnitude, grad_x, grad_y) -> np.ndarray:
@@ -749,7 +745,6 @@ def _check_alpha(alpha) -> None:
 
 def _solve_coefficients(
     values, clues, basis, dim, *, apply_edge_filter, method, tol, max_iter,
-    canny_low=70.0, canny_high=90.0,
 ) -> tuple[np.ndarray, SolveReport]:
     """First stage of :func:`colorize`: filter, project, build, solve.
 
@@ -757,11 +752,7 @@ def _solve_coefficients(
     channels): the leading ``dim`` basis coefficients of every pixel, or
     its spectrum when ``basis`` is None.
     """
-    working = (
-        edge_filter(clues, values, canny_low, canny_high)
-        if apply_edge_filter
-        else clues
-    )
+    working = edge_filter(clues, values) if apply_edge_filter else clues
     if basis is not None:
         working = project(working, basis, dim)
     system = build_system(values, working)
@@ -770,16 +761,17 @@ def _solve_coefficients(
 
 
 def _finish(
-    spectra, values, wavelengths, *, response_guide: SpectralResponse, alpha="auto",
+    spectra, values, wavelengths, *, response_guide=None, alpha="auto",
 ) -> tuple[HyperCube, int]:
     """Second stage of :func:`colorize`: rescale and clamp.
 
-    ``spectra`` is (pixel count, bands). The rescaled cube is clamped at
-    zero in place. Returns the cube and its count of degenerate pixels.
+    ``spectra`` is (pixel count, bands) over ``wavelengths``; the guide
+    response defaults as in :func:`colorize`. The rescaled cube is clamped
+    at zero in place. Returns the cube and its count of degenerate pixels.
     """
     scaled, degenerate = luminance_rescale(
-        spectra.reshape(*values.shape, -1), values, response_guide=response_guide,
-        alpha=alpha,
+        spectra.reshape(*values.shape, -1), values,
+        response_guide=_resolve_response(wavelengths, response_guide), alpha=alpha,
     )
     cube = HyperCube(np.maximum(scaled, 0.0, out=scaled), wavelengths)
     return cube, int(degenerate.sum())
@@ -814,8 +806,6 @@ def colorize(
     method: str = "auto",
     tol: float = 1e-7,
     max_iter: int = 10_000,
-    canny_low: float = 70.0,
-    canny_high: float = 90.0,
 ) -> ColorizeResult:
     """Reconstruct a dense cube from a guide image and sparse clues.
 
@@ -832,7 +822,8 @@ def colorize(
     dim : int, optional
         Number of basis directions to keep; requires ``basis``.
     apply_edge_filter : bool
-        Pre-filter clues toward their off-edge neighborhoods first.
+        Pre-filter clues toward their off-edge neighborhoods first, with
+        :func:`edge_filter` at its default Canny percentiles.
     response_guide : SpectralResponse, optional
         Guide response the brightness rescale weighs bands by. Defaults
         to uniform weight over the visible window of the clue
@@ -840,8 +831,6 @@ def colorize(
     rescale_alpha : float or "auto"
         Scale of the brightness rescale.
     method, tol, max_iter : solver controls, see :func:`solve`.
-    canny_low, canny_high : float
-        Percentile hysteresis thresholds for the edge detector.
 
     Returns
     -------
@@ -856,7 +845,6 @@ def colorize(
     _check_solver(method, tol, max_iter)
     solution, report = _solve_coefficients(
         values, clues, basis, dim, apply_edge_filter=apply_edge_filter,
-        canny_low=canny_low, canny_high=canny_high,
         method=method, tol=tol, max_iter=max_iter,
     )
     # dropping the coefficients before the rescale allocates its output

@@ -1,5 +1,5 @@
-"""File formats: binary cubes, clue sets, bases, guides and masks, the
-report and dimension-model JSON, and plot-data CSV.
+"""File formats: binary cubes, clue sets, bases, guides and masks, plain
+.npy arrays, the report and dimension-model JSON, and plot-data CSV.
 
 All multi-byte integers and floats are little-endian. Magic numbers name the
 container: ``HSC1`` dense cube, ``HSK1`` clue set, ``HSB1`` spectral basis.
@@ -110,6 +110,22 @@ def read_cube(path) -> HyperCube:
         .reshape(height, width, bands)
     )
     return _build(HyperCube, path, data, wavelengths)
+
+
+# ---------------------------------------------------------------------------
+# Plain .npy arrays, the CLI's import and export form
+
+
+def _load_npy(path) -> np.ndarray:
+    """The array a .npy file holds; a pickled one raises FormatError."""
+    try:
+        return np.load(path)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a plain .npy array ({exc})") from None
+
+
+def _save_npy(array, path) -> None:
+    np.save(path, array)
 
 
 # ---------------------------------------------------------------------------

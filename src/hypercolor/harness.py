@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
-from .core import HyperCube, SpectralResponse, _is_finite_real, _is_int
+from .core import HyperCube, _is_finite_real, _is_int
 from .errors import ConfigError, FormatError, ValidationError
 from .formats import _csv_text, _read_json_object, _write_json_object
 from .metrics import (
@@ -382,14 +382,33 @@ def _check_dims(dims, rank: int, bands: int) -> None:
             raise ConfigError(f"dim {dim} must be between 1 and the basis rank {rank}")
 
 
-def _resolve_dimension(dim, clues, basis, model):
-    """Reconstruction dimension for a dim policy: an int, "auto", or None."""
-    if dim is None:
-        return None
-    if basis is None:
-        raise ConfigError(f"dim {dim!r} needs a spectral basis")
-    _check_dims((dim,), basis.rank, basis.bands)
-    return estimate_dimension(clues, basis, model)[0] if dim == "auto" else int(dim)
+def _check_run_inputs(cube, config) -> None:
+    """Raise ValidationError unless ``cube`` is a HyperCube and ``config``
+    an ExperimentConfig."""
+    if not isinstance(cube, HyperCube):
+        raise ValidationError(f"cube must be a HyperCube, got {type(cube).__name__}")
+    if not isinstance(config, ExperimentConfig):
+        raise ValidationError(
+            f"config must be an ExperimentConfig, got {type(config).__name__}"
+        )
+
+
+def _colorize_clues(guide, clues, basis, config, model=None):
+    """``colorize`` under the config's dim policy ("auto" asks
+    ``estimate_dimension``, with ``model``), edge filter, rescale alpha and
+    solver controls."""
+    dim = config.dim
+    if dim is not None:
+        if basis is None:
+            raise ConfigError(f"dim {dim!r} needs a spectral basis")
+        _check_dims((dim,), basis.rank, basis.bands)
+        if dim == "auto":
+            dim = estimate_dimension(clues, basis, model)[0]
+    return colorize(
+        guide, clues, basis, dim, apply_edge_filter=config.edge_filter,
+        rescale_alpha=config.rescale_alpha, method=config.solver, tol=config.tol,
+        max_iter=config.max_iter,
+    )
 
 
 def run_pipeline(
@@ -419,6 +438,7 @@ def run_pipeline(
         Acquisition bookkeeping, solver diagnostics, the reconstructed
         cube and mask, and a MetricReport against the ground truth.
     """
+    _check_run_inputs(cube, config)
     _check_dims((config.dim,), *_basis_shape(cube, config))
     return _reconstruct(cube, config, model=model, label=label)()
 
@@ -433,25 +453,14 @@ def _reconstruct(cube, config, *, model=None, label="", histogram=False):
     start = time.perf_counter()
     guide, mask, clues, guide_time, clue_time = _acquire(cube, config)
     basis = _learn_pipeline_basis(cube, clues, config)
-    dim = _resolve_dimension(config.dim, clues, basis, model)
-    result = colorize(
-        guide,
-        clues,
-        basis=basis,
-        dim=dim,
-        apply_edge_filter=config.edge_filter,
-        rescale_alpha=config.rescale_alpha,
-        method=config.solver,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    result = _colorize_clues(guide, clues, basis, config, model)
     run = {
         "config": config,
         "image": label,
         "mask_count": clues.count,
         "clue_time": clue_time,
         "guide_time": guide_time,
-        "dimension": dim if dim is not None else basis.rank,
+        "dimension": result.dimension or basis.rank,
         "basis_rank": basis.rank,
         "solver_method": result.solver_method,
         "residuals": result.residuals,
@@ -534,7 +543,7 @@ def _clue_curve(clues, basis) -> VarianceCurve | None:
     return variance_curve(clues, basis)
 
 
-def _solve_budget(cube, config, dims, response):
+def _solve_budget(cube, config, dims):
     """One budget row's first stage: a shared clue draw and one solve.
 
     Returns the row's follow-ups: its clue variance curve, then one score
@@ -547,12 +556,11 @@ def _solve_budget(cube, config, dims, response):
         guide.values, clues, basis, max(dims), apply_edge_filter=config.edge_filter,
         method=config.solver, tol=config.tol, max_iter=config.max_iter,
     )
-    score = partial(_score_dimension, cube, config, guide.values, basis, solution,
-                    response)
+    score = partial(_score_dimension, cube, config, guide.values, basis, solution)
     return [partial(_clue_curve, clues, basis)] + [partial(score, dim) for dim in dims]
 
 
-def _score_dimension(cube, config, guide, basis, solution, response, dim):
+def _score_dimension(cube, config, guide, basis, solution, dim):
     """Finish and score the first ``dim`` coefficient channels of a solve.
 
     The report's ``wall_ms`` is the time this finish and score took.
@@ -560,7 +568,7 @@ def _score_dimension(cube, config, guide, basis, solution, response, dim):
     start = time.perf_counter()
     recon, _degenerate = _finish(
         unproject(solution[:, :dim], basis), guide, cube.wavelengths,
-        response_guide=response, alpha=config.rescale_alpha,
+        alpha=config.rescale_alpha,
     )
     report = evaluate(cube, recon)
     return replace(report, wall_ms=(time.perf_counter() - start) * 1e3)
@@ -581,6 +589,7 @@ def grid_search_dimension(
     channels). Budgets default to the config's single budget; every other
     setting is the config's.
     """
+    _check_run_inputs(cube, config)
     dims = tuple(_parse_int(d, "dims") for d in _as_tuple(dims, "dims"))
     if not dims:
         raise ValidationError("grid search needs at least one candidate dimension")
@@ -591,9 +600,8 @@ def grid_search_dimension(
     if not budgets:
         raise ValidationError("grid search needs at least one budget")
     _check_dims(dims, *_basis_shape(cube, config))
-    response = SpectralResponse.visible_flat(cube.wavelengths)
     outcomes = _sweep(
-        lambda run_config: _solve_budget(cube, run_config, dims, response),
+        lambda run_config: _solve_budget(cube, run_config, dims),
         config, "time_budget", budgets,
     )
     curves = tuple(outcome[0] for outcome in outcomes)
@@ -635,6 +643,8 @@ def train_dimension_model(
     least 6 pairs are required by the quadratic fit. ``cubes`` is a list.
     """
     cubes = _as_tuple(cubes, "cubes")
+    for cube in cubes:
+        _check_run_inputs(cube, config)
     budgets = [_parse_float(b, "budgets") for b in _as_tuple(budgets, "budgets")]
     if not cubes or not budgets:
         raise ValidationError("training needs at least one cube and one budget")
@@ -744,6 +754,7 @@ def _sweep(stage, config: ExperimentConfig, field: str, values) -> list[list]:
 def _pipeline_sweep(cube, config, field, values, empty_error, *, label, model=None,
                     histogram=False) -> SweepResult:
     """One pipeline run with ``field`` set to each of ``values``, in order."""
+    _check_run_inputs(cube, config)
     if not values:
         raise ValidationError(empty_error)
     _check_dims((config.dim,), *_basis_shape(cube, config))

@@ -40,6 +40,8 @@ _SSIM_K2 = 0.03
 _SSIM_TILE_ROWS = 4
 _SSIM_BLOCK_COLS = 16
 _MASS_FLOOR = 1e-12
+# the smallest norm whose square cannot underflow
+_GFC_SMALL_NORM = math.sqrt(np.finfo(float).tiny)
 # pixels per block of the per-pixel spectral metrics
 _BLOCK_PIXELS = 4096
 # largest magnitude a scored value may have: SSIM multiplies second
@@ -232,20 +234,46 @@ def _per_pixel(t, r, score) -> np.ndarray:
     return values
 
 
-def _gfc_block(t, r):
-    """Absolute cosine per pixel; NaN where the truth spectrum is zero."""
+def _cosines(t, r):
+    """(absolute cosine, truth norm, reconstruction norm) per pixel; the
+    cosine is 0 where either norm is."""
     norm_t = np.linalg.norm(t, axis=1)
-    denom = norm_t * np.linalg.norm(r, axis=1)
+    norm_r = np.linalg.norm(r, axis=1)
+    denom = norm_t * norm_r
     dots = np.abs(np.einsum("ij,ij->i", t, r))
     scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return np.where(norm_t > 0, scores, np.nan)
+    return scores, norm_t, norm_r
+
+
+def _gfc_block(t, r):
+    """Absolute cosine per pixel; NaN where the truth spectrum is zero.
+
+    A norm below ``_GFC_SMALL_NORM`` may have lost squared entries that
+    underflowed, so a pixel with such a norm and a nonzero truth is scored
+    again with each spectrum divided by its largest magnitude.
+    """
+    scores, norm_t, norm_r = _cosines(t, r)
+    defined = norm_t > 0
+    small = np.flatnonzero(np.minimum(norm_t, norm_r) < _GFC_SMALL_NORM)
+    small = small[np.any(t[small] != 0, axis=1)]
+    if small.size:
+        t, r = t[small], r[small]
+        peak_r = np.abs(r).max(axis=1, keepdims=True)
+        scores[small] = _cosines(
+            t / np.abs(t).max(axis=1, keepdims=True),
+            r / np.where(peak_r > 0, peak_r, 1.0),
+        )[0]
+        defined[small] = True
+    return np.where(defined, scores, np.nan)
 
 
 def gfc(truth, recon) -> float:
     """Mean absolute cosine similarity between per-pixel spectra.
 
-    Pixels whose truth spectrum has zero norm are excluded; a zero-norm
-    reconstruction against a nonzero truth scores 0 at that pixel.
+    Pixels whose truth spectrum is all zero are excluded; an all-zero
+    reconstruction against a nonzero truth scores 0 at that pixel. The
+    cosine does not depend on scale, so spectra too small to square
+    (a truth of 1e-300, say) score as they would scaled up.
     """
     return _gfc(*_paired_arrays(truth, recon))
 

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from hypercolor import (
+    DimensionModel,
     HyperCube,
+    colorize,
+    estimate_dimension,
     evaluate,
     formats,
     learn_basis,
@@ -300,8 +303,6 @@ class TestConfigFlags:
             ["basis", "project", "--basis", "{basis}", "--clues", "{clues}",
              "--dim", "0", "--out", "{out}"],
             ["basis", "learn", "{cube}", "--rank", "0", "--out", "{out}"],
-            ["colorize", "--guide", "{guide}", "--clues", "{clues}",
-             "--canny-low", "95", "--canny-high", "90", "--out", "{out}"],
             ["sample", "--rate", "0.25", "--shape", "0x5", "--out", "{out}"],
             ["sample", "--rate", "0.25", "--shape", "5x0", "--out", "{out}"],
             ["sample", "--rate", "0.25", "--shape=-3x5", "--out", "{out}"],
@@ -544,6 +545,40 @@ class TestColorize:
             "--solver", "direct", "--out", str(out),
         )
         assert payload["dimension"] == 3
+
+    @pytest.mark.parametrize("flags, settings", [
+        (["--basis", "{basis}", "--dim", "auto", "--model", "{model}"], {"dim": "auto"}),
+        (["--no-edge-filter", "--solver", "iterative"],
+         {"edge_filter": False, "solver": "iterative"}),
+    ], ids=["auto-dim-model", "no-filter-iterative"])
+    def test_writes_the_library_reconstruction(
+        self, tmp_path, capsys, deep_cube_file, flags, settings
+    ):
+        guide, clues = self._artifacts(tmp_path, capsys, deep_cube_file)
+        paths = {"basis": tmp_path / "basis.hsb", "model": tmp_path / "model.json"}
+        run_json(capsys, "basis", "learn", str(deep_cube_file),
+                 "--out", str(paths["basis"]))
+        formats.write_model(DimensionModel(2.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                            paths["model"])
+        out = tmp_path / "recon.hsc"
+        run_json(capsys, "colorize", "--guide", str(guide), "--clues", str(clues),
+                 *[flag.format(**paths) for flag in flags], "--out", str(out))
+
+        config = ExperimentConfig(**settings)
+        clue_set = formats.read_clues(clues)
+        basis = dim = None
+        if config.dim == "auto":
+            basis = formats.read_basis(paths["basis"])
+            model = formats.read_model(paths["model"])
+            dim = estimate_dimension(clue_set, basis, model)[0]
+        result = colorize(
+            formats.read_guide(guide), clue_set, basis, dim,
+            apply_edge_filter=config.edge_filter, rescale_alpha=config.rescale_alpha,
+            method=config.solver, tol=config.tol, max_iter=config.max_iter,
+        )
+        expected = tmp_path / "expected.hsc"
+        formats.write_cube(result.cube, expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_auto_dim_without_basis_is_usage_error(self, tmp_path, capsys, cube_file):
         guide, clues = self._artifacts(tmp_path, capsys, cube_file)

@@ -234,8 +234,11 @@ class TestPackageSurface:
         assert [name for name in exported if not called(name)] == []
 
     def test_only_formats_reads_or_writes_json_and_csv_files(self):
-        # json.dumps stays open to the CLI, which prints JSON to stdout
-        codec = re.compile(r"\bjson\.(?:load|dump)\(|\bcsv\.writer\b")
+        # json.dumps stays open to the CLI, which prints JSON to stdout; .npy
+        # arrays are files too
+        codec = re.compile(
+            r"\bjson\.(?:load|dump)\(|\bcsv\.writer\b|\bnp\.(?:load|save)\("
+        )
         package = Path(__file__).resolve().parents[1] / "src" / "hypercolor"
         users = [path.name for path in sorted(package.glob("*.py"))
                  if codec.search(path.read_text())]

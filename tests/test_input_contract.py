@@ -1,8 +1,8 @@
 """The input contract, checked by generation at the library and CLI layers.
 
 A bad run setting, sweep list, solver control, array, mask, guide grid,
-metric pair, or basis or response wavelength axis ends in a ``ConfigError`` or ``ValidationError``
-before any costly stage runs, and a CLI command ends with exit 0, 2 or 3,
+metric pair, basis or response wavelength axis, or harness cube or config
+ends in a ``ConfigError`` or ``ValidationError`` before any costly stage runs, and a CLI command ends with exit 0, 2 or 3,
 never a traceback.
 """
 
@@ -47,6 +47,7 @@ from hypercolor import (  # noqa: E402
     luminance_rescale,
     make_guide,
     project,
+    run_pipeline,
     simulate_clues,
     simulate_guide,
     solve,
@@ -185,6 +186,19 @@ def off_grid(shape):
 # a basis whose wavelengths are shifted off the data's
 wavelength_shifts = st.floats(1.0, 300.0) | st.floats(-300.0, -1.0)
 
+# each harness entry point, run on a cube and a config
+HARNESS_RUNS = {
+    "run_pipeline": run_pipeline,
+    "time_budget_sweep": lambda cube, config: time_budget_sweep(cube, config, (0.1,)),
+    "compare_sampling": compare_sampling,
+    "grid_search_dimension": lambda cube, config: grid_search_dimension(
+        cube, config, (2,)),
+    "train_dimension_model": lambda cube, config: train_dimension_model(
+        [cube], config, (0.5,)),
+}
+not_cubes = junk | st.none() | st.sampled_from([np.ones((4, 4, BANDS)), ExperimentConfig()])
+not_configs = junk | st.none() | st.sampled_from([{"seed": 1}, "uniform-whisk"])
+
 
 @contextlib.contextmanager
 def costly_stages_refused():
@@ -250,9 +264,9 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
         "colorize dim": (bad_colorize_dims, lambda v: colorize(guide, clues, basis, v)),
         "colorize rescale_alpha": (bad_budgets, lambda v: colorize(
             guide, clues, rescale_alpha=v)),
-        "colorize canny_low": (junk | st.none() | non_finite | forms(
+        "edge_filter low_percentile": (junk | st.none() | non_finite | forms(
             st.floats(max_value=-1e-300) | st.floats(90.0, exclude_min=True)),
-            lambda v: colorize(guide, clues, canny_low=v)),
+            lambda v: edge_filter(clues, guide, low_percentile=v)),
         "colorize method": (not_in(("auto", "direct", "iterative")),
                             lambda v: colorize(guide, clues, method=v)),
         "colorize tol": (bad_budgets, lambda v: colorize(guide, clues, tol=v)),
@@ -311,6 +325,12 @@ def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(scene,
                               ("simulate_guide", lambda r: simulate_guide(
                                   cube, NoiseParams(t=1.0), r)))},
         "evaluate mismatched pair": (off_grid(cube.shape), lambda v: evaluate(cube, v)),
+        **{f"{name} cube": (not_cubes, lambda v, run=run: run(v, ExperimentConfig()))
+           for name, run in HARNESS_RUNS.items()},
+        **{f"{name} config": (not_configs, lambda v, run=run: run(cube, v))
+           for name, run in HARNESS_RUNS.items()},
+        "train_dimension_model later cube": (not_cubes, lambda v: train_dimension_model(
+            with_bad([cube], v, data), ExperimentConfig(), (0.5,))),
     }
     entry = data.draw(st.sampled_from(sorted(entries)), label="entry")
     values, call = entries[entry]

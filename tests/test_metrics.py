@@ -167,8 +167,8 @@ class TestPsnr:
         truth = np.full((12, 12, 4), 1e-300)
         recon = np.full((12, 12, 4), 1e70)
         assert psnr(truth, recon) == pytest.approx(-7400.0, abs=1e-9)
-        # evaluate gets past PSNR; this pair has no mass for GFC or EMD
-        with pytest.raises(ValidationError, match="GFC"):
+        # evaluate gets past PSNR and GFC; the truth's mass is below EMD's floor
+        with pytest.raises(ValidationError, match="EMD"):
             evaluate(truth, recon)
 
     def test_ratio_that_overflows_is_not_a_perfect_score(self):
@@ -334,6 +334,18 @@ class TestGfc:
     def test_all_zero_truth_rejected(self):
         with pytest.raises(ValidationError):
             gfc(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
+
+    def test_truth_whose_squares_underflow_scores_its_cosine(self):
+        # each squared truth value, 1e-600, is 0 in float64
+        truth = np.full((12, 12, 4), 1e-300)
+        assert gfc(truth, np.full((12, 12, 4), 1e70)) == 1.0
+
+    def test_scaling_both_sides_below_the_square_range_keeps_the_score(self):
+        rng = np.random.default_rng(0)
+        truth, recon = rng.random((2, 12, 12, 4))
+        assert gfc(truth * 1e-200, recon * 1e-200) == pytest.approx(
+            gfc(truth, recon), rel=1e-14
+        )
 
     def test_needs_two_bands(self):
         with pytest.raises(ValidationError):
