@@ -1,10 +1,12 @@
 """The end-to-end runs whose default reports ``report_digests.json`` pins.
 
-Each run writes one report with ``write_json`` (or through ``cli.main``)
-on a fixed 64x64x31 scene. The data file records, per run, the sha256 of
-the report's bytes and every number in it, with the numpy, scipy and
-OpenBLAS versions they were made under; ``test_report_digests.py``
-recomputes the runs and compares.
+Each run writes its reports with ``write_json`` or through ``cli.main`` on
+a fixed 64x64x31 scene. The data file records, per report, the sha256 of
+its bytes and every number in it, with the numpy, scipy and OpenBLAS
+versions they were made under; ``test_report_digests.py`` recomputes the
+runs and compares. A report is keyed by its run's name plus the suffix
+the run gives it: none for a run's one report, the file's own for a CLI
+command that writes several. A ``.csv`` report's numbers are its cells.
 
 Regenerate the file only when a change is meant to move report bytes:
 
@@ -14,6 +16,7 @@ Regenerate the file only when a change is meant to move report bytes:
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -65,27 +68,38 @@ def scene(size: int = SIZE) -> HyperCube:
     return HyperCube(data / data.max(), WAVELENGTHS.copy())
 
 
-def _written(result) -> bytes:
+def _written(result) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         write_json(result, path)
-        return path.read_bytes()
+        return {"": path.read_bytes()}
 
 
-def _cli_pipeline(cube) -> bytes:
+def _cli(cube, argv, outputs) -> dict[str, bytes]:
+    """Suffix -> bytes of the files ``outputs`` (suffix -> file name) that
+    ``cli.main(argv)`` writes; ``{cube}`` and ``{out}`` in ``argv`` stand
+    for the scene's file and the output folder."""
     with tempfile.TemporaryDirectory() as tmp:
         cube_path = Path(tmp) / "scene.hsc"
-        report = Path(tmp) / "report.json"
         formats.write_cube(cube, cube_path)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["pipeline", str(cube_path), "--seed", "2",
-                             "--out-report", str(report)])
+            code = cli.main([arg.format(cube=cube_path, out=tmp) for arg in argv])
         if code != 0:
-            raise RuntimeError(f"pipeline exited {code}")
-        return report.read_bytes()
+            raise RuntimeError(f"{argv[0]} exited {code}")
+        return {suffix: (Path(tmp) / name).read_bytes()
+                for suffix, name in outputs.items()}
 
 
-# name -> the default report bytes of one run on the scene
+SWEEP_OUTPUTS = {".json": "report.json", ".csv": "plot.csv"}
+SWEEP_FLAGS = ["--out", "{out}/report.json", "--csv", "{out}/plot.csv"]
+
+
+def _half(cube) -> HyperCube:
+    """Every other row and column of ``cube``: a smaller scene of its bands."""
+    return HyperCube(cube.data[::2, ::2], cube.wavelengths)
+
+
+# name -> suffix -> the default report bytes of one run on the scene
 RUNS = {
     "run_pipeline_seed0": lambda cube: _written(
         run_pipeline(cube, ExperimentConfig(seed=0))),
@@ -101,8 +115,51 @@ RUNS = {
         grid_search_dimension(cube, ExperimentConfig(), range(2, 32))),
     "time_budget_sweep": lambda cube: _written(
         time_budget_sweep(cube, ExperimentConfig(), (0.01, 0.04, 0.1))),
-    "cli_pipeline": _cli_pipeline,
+    "cli_pipeline": lambda cube: _cli(
+        cube, ["pipeline", "{cube}", "--seed", "2", "--out-report", "{out}/report.json"],
+        {"": "report.json"}),
+    "cli_sweep_dim": lambda cube: _cli(
+        cube, ["sweep-dim", "{cube}", "--dims", "4,8", "--budget", "0.5", "--seed", "1",
+               "--workers", "2", *SWEEP_FLAGS], SWEEP_OUTPUTS),
+    "cli_sweep_budget": lambda cube: _cli(
+        cube, ["sweep-budget", "{cube}", "--ratios", "0.02,0.06", "--dim", "6",
+               "--seed", "1", *SWEEP_FLAGS], SWEEP_OUTPUTS),
+    "cli_compare_sampling": lambda cube: _cli(
+        cube, ["compare-sampling", "{cube}", "--patterns", "random,guided-whisk",
+               "--rate", "0.03", "--budget", "2", *SWEEP_FLAGS], SWEEP_OUTPUTS),
+    "cli_train_dim_model": lambda cube: _cli(
+        _half(cube), ["train-dim-model", "{cube}", "--budgets", "0.25,0.5,1,2,4,8",
+                      "--dims", "2,4,8", "--seed", "1", "--out", "{out}/model.json",
+                      "--report", "{out}/training.json"],
+        {".model.json": "model.json", ".report.json": "training.json"}),
 }
+
+
+def reports(cube):
+    """(key, bytes) of every report of every run on ``cube``, in run order."""
+    for name, run in RUNS.items():
+        for suffix, report in run(cube).items():
+            yield name + suffix, report
+
+
+def _cell(text: str):
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse(key: str, report: bytes):
+    """A report's payload: a ``.csv`` report's rows as column -> cell dicts,
+    any other parsed as JSON."""
+    text = report.decode("utf-8")
+    if key.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        return [{column: _cell(cell) for column, cell in zip(rows[0], row)}
+                for row in rows[1:]]
+    return json.loads(text)
 
 
 def numbers(payload, path="") -> dict:
@@ -142,17 +199,14 @@ def versions() -> dict:
 
 def main() -> int:
     cube = scene()
-    runs = {}
-    for name, run in RUNS.items():
-        report = run(cube)
-        runs[name] = {
-            "sha256": digest(report),
-            "numbers": numbers(json.loads(report)),
-        }
+    runs = {
+        key: {"sha256": digest(report), "numbers": numbers(parse(key, report))}
+        for key, report in reports(cube)
+    }
     payload = {"versions": versions(), "runs": runs}
     DATA_FILE.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                          encoding="utf-8")
-    print(f"wrote {DATA_FILE} ({len(runs)} runs)")
+    print(f"wrote {DATA_FILE} ({len(runs)} reports)")
     return 0
 
 
