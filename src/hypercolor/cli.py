@@ -73,8 +73,9 @@ def _parse_wavelengths(text: str, bands: int) -> np.ndarray:
 
 
 def _parse_list(text: str, what: str) -> list[str]:
-    """The comma-separated items of ``text``, unparsed; the library parses them."""
-    values = [token for token in text.split(",") if token.strip()]
+    """The comma-separated items of ``text``, stripped and unparsed; the
+    library parses them."""
+    values = [token for token in map(str.strip, text.split(",")) if token]
     if not values:
         raise ConfigError(f"{what} is empty")
     return values
@@ -93,10 +94,11 @@ def _parse_shape(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Run settings
 
-# Each flag that sets a run setting, with the ExperimentConfig field it
-# sets and its help text. The flags default to None, so a flag that is not
-# given leaves the field to the environment, the --config file, or the
-# config's own default; ExperimentConfig parses and checks every value.
+# Each flag that sets a run setting: the ExperimentConfig field it sets
+# and stores under, its help text, and for a switch the value it sets.
+# The flags default to None, so a flag that is not given leaves the field
+# to the environment, the --config file, or the config's own default;
+# ExperimentConfig parses and checks every value.
 _CONFIG_FLAGS = {
     "--seed": ("seed", "master seed"),
     "--budget": ("time_budget", "total clue integration time in seconds"),
@@ -111,9 +113,11 @@ _CONFIG_FLAGS = {
     "--dim": ("dim", 'reconstruction dimension: an int, "auto", or none for the '
                      "full basis rank"),
     "--rank": ("rank", "basis directions to keep; none means every band"),
+    "--no-edge-filter": ("edge_filter", "skip the edge-aware clue prefilter", False),
     "--solver": ("solver", "linear solver: auto, direct or iterative"),
     "--tol": ("tol", "solver relative residual"),
     "--max-iter": ("max_iter", "iteration cap of the iterative solver"),
+    "--include-timing": ("include_timing", "keep wall-clock times in the output", True),
     "--workers": ("workers", "worker threads for sweeps"),
 }
 
@@ -121,10 +125,15 @@ _CONFIG_FLAGS = {
 def _add_config_flags(parser, *flags) -> None:
     defaults = ExperimentConfig()
     for flag in flags:
-        name, text = _CONFIG_FLAGS[flag]
-        default = getattr(defaults, name)
-        shown = "none" if default is None else default
-        parser.add_argument(flag, default=None, help=f"{text} (default {shown})")
+        name, text, *switch = _CONFIG_FLAGS[flag]
+        if switch:
+            parser.add_argument(flag, dest=name, action="store_const", const=switch[0],
+                                default=None, help=text)
+        else:
+            default = getattr(defaults, name)
+            shown = "none" if default is None else default
+            parser.add_argument(flag, dest=name, default=None,
+                                help=f"{text} (default {shown})")
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -134,25 +143,13 @@ def _config_from_args(args) -> ExperimentConfig:
     bad value that a flag overrides is never read. A command without
     --config reads from the environment only the settings it has flags for.
     """
-    flags = {
-        flag: name for flag, (name, _text) in _CONFIG_FLAGS.items()
-        if hasattr(args, flag[2:].replace("-", "_"))
-    }
+    names = {name for name, *_rest in _CONFIG_FLAGS.values() if hasattr(args, name)}
     if hasattr(args, "config"):
         values = _config_values(args.config)
     else:
-        names = set(flags.values())
-        if hasattr(args, "no_edge_filter"):
-            names.add("edge_filter")
         values = _config_values(env_fields=names)
-    for flag, name in flags.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            values[name] = value
-    if getattr(args, "no_edge_filter", False):
-        values["edge_filter"] = False
-    if getattr(args, "include_timing", False):
-        values["include_timing"] = True
+    values.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name) is not None)
     return ExperimentConfig(**values)
 
 
@@ -161,12 +158,11 @@ def _harness_inputs(args) -> tuple[HyperCube, ExperimentConfig]:
     return formats.read_cube(args.cube), _config_from_args(args)
 
 
-def _add_harness_args(parser) -> None:
+def _add_harness_args(parser, *flags) -> None:
+    """--config and the config flags ``flags``: those whose fields the
+    command reads."""
     parser.add_argument("--config", default=None, help="JSON experiment config")
-    _add_config_flags(parser, "--seed", "--pattern", "--rate", "--budget", "--dim",
-                      "--workers")
-    parser.add_argument("--include-timing", action="store_true",
-                        help="keep wall-clock times in the output")
+    _add_config_flags(parser, *flags)
 
 
 def _remove_partial(paths) -> None:
@@ -348,7 +344,7 @@ def _emit_sweep(args, config, result) -> int:
 def _cmd_sweep_dim(args) -> int:
     cube, config = _harness_inputs(args)
     dims = _parse_list(args.dims, "--dims")
-    budgets = _parse_list(args.budgets, "--budgets") if args.budgets else None
+    budgets = None if args.budgets is None else _parse_list(args.budgets, "--budgets")
     return _emit_sweep(args, config, grid_search_dimension(cube, config, dims, budgets))
 
 
@@ -364,7 +360,8 @@ def _cmd_sweep_budget(args) -> int:
 
 def _cmd_compare_sampling(args) -> int:
     cube, config = _harness_inputs(args)
-    patterns = tuple(args.patterns.split(",")) if args.patterns else PATTERNS
+    patterns = (PATTERNS if args.patterns is None
+                else _parse_list(args.patterns, "--patterns"))
     result = compare_sampling(cube, config, patterns, label=Path(args.cube).stem)
     return _emit_sweep(args, config, result)
 
@@ -373,7 +370,7 @@ def _cmd_train_dim_model(args) -> int:
     cubes = [formats.read_cube(path) for path in args.cubes]
     config = _config_from_args(args)
     budgets = _parse_list(args.budgets, "--budgets")
-    dims = _parse_list(args.dims, "--dims") if args.dims else None
+    dims = None if args.dims is None else _parse_list(args.dims, "--dims")
     result = train_dimension_model(cubes, config, budgets, dims)
     formats.write_model(result.model, args.out)
     if args.report:
@@ -399,8 +396,16 @@ def _cmd_export_plotdata(args) -> int:
 # Parser assembly
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the parser of each subcommand, that reads no flag from
+    a prefix of its name, so that sweep-dim's --dims never answers --dim."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypercolor",
         description="Hyperspectral reconstruction from a guide image and sparse spectra.",
     )
@@ -451,15 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--out", required=True, help="output path")
     bp.set_defaults(handler=_cmd_basis_project)
 
-    # the same command, under basis and at the top level
-    for parent in (basis_sub, sub):
-        p = parent.add_parser("estimate-dim",
-                              help="estimate reconstruction dimension from clues")
-        p.add_argument("--clues", required=True, help="clue file")
-        p.add_argument("--basis", required=True, help="full-rank basis file")
-        p.add_argument("--model", default=None,
-                       help="dimension model JSON (default: elbow)")
-        p.set_defaults(handler=_cmd_estimate_dim)
+    p = sub.add_parser("estimate-dim", help="estimate reconstruction dimension from clues")
+    p.add_argument("--clues", required=True, help="clue file")
+    p.add_argument("--basis", required=True, help="full-rank basis file")
+    p.add_argument("--model", default=None, help="dimension model JSON (default: elbow)")
+    p.set_defaults(handler=_cmd_estimate_dim)
 
     p = sub.add_parser("colorize", help="reconstruct a cube from guide and clues")
     p.add_argument("--guide", required=True, help="guide PGM")
@@ -467,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None, help="spectral basis file")
     _add_config_flags(p, "--dim")
     p.add_argument("--model", default=None, help='dimension model for --dim auto')
-    p.add_argument("--no-edge-filter", action="store_true",
-                   help="skip the edge-aware clue prefilter")
-    _add_config_flags(p, "--solver", "--tol", "--max-iter")
+    _add_config_flags(p, "--no-edge-filter", "--solver", "--tol", "--max-iter")
     p.add_argument("--out", required=True, help="output cube path")
     p.set_defaults(handler=_cmd_colorize)
 
@@ -483,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="simulate, reconstruct, and score one run")
     p.add_argument("cube", help="ground-truth cube file")
-    _add_harness_args(p)
+    _add_harness_args(p, "--seed", "--pattern", "--rate", "--budget", "--dim",
+                      "--include-timing")
     p.add_argument("--model", default=None, help="dimension model JSON")
     p.add_argument("--out-cube", default=None, help="write the reconstruction here")
     p.add_argument("--out-mask", default=None, help="write the sampling mask here")
@@ -495,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated candidate dimensions")
     p.add_argument("--budgets", default=None,
                    help="comma-separated budgets (default: config budget)")
-    _add_harness_args(p)
+    _add_harness_args(p, "--seed", "--pattern", "--rate", "--budget", "--workers",
+                      "--include-timing")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
     p.set_defaults(handler=_cmd_sweep_dim)
@@ -504,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the sampling ratio under a fixed time budget")
     p.add_argument("cube", help="ground-truth cube file")
     p.add_argument("--ratios", required=True, help="comma-separated sampling ratios")
-    _add_harness_args(p)
+    _add_harness_args(p, "--seed", "--pattern", "--budget", "--dim", "--workers",
+                      "--include-timing")
     p.add_argument("--model", default=None, help="dimension model JSON")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
@@ -513,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-sampling", help="compare sampling patterns, all else equal")
     p.add_argument("cube", help="ground-truth cube file")
     p.add_argument("--patterns", default=None, help="comma-separated subset of patterns")
-    _add_harness_args(p)
+    _add_harness_args(p, "--seed", "--rate", "--budget", "--dim", "--workers",
+                      "--include-timing")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--csv", default=None, help="write plot-ready CSV here")
     p.set_defaults(handler=_cmd_compare_sampling)
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cubes", nargs="+", help="training cube files")
     p.add_argument("--budgets", required=True, help="comma-separated budgets in seconds")
     p.add_argument("--dims", default=None, help="candidate dimensions (default 2..bands)")
-    _add_harness_args(p)
+    _add_harness_args(p, "--seed", "--pattern", "--rate", "--workers")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--report", default=None, help="write training diagnostics JSON here")
     p.set_defaults(handler=_cmd_train_dim_model)

@@ -25,7 +25,7 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ._filters import gaussian_kernel_1d, sobel_gradients, window_count, window_sum
 from .core import (
-    ClueSet, HyperCube, SpectralResponse, _as_float_array, _guide_values,
+    ClueSet, HyperCube, SpectralResponse, _as_float_array, _check_type, _guide_values,
     _is_finite_real, _is_int, _resolve_response,
 )
 from .errors import SolverError, ValidationError
@@ -178,6 +178,7 @@ def edge_filter(
     21x21 window, which cancels independent noise. Clues with no neighbors
     in the window always pass through.
     """
+    _check_type(clues, ClueSet, "clues")
     values = _guide_values(guide, (clues.height, clues.width), "clues")
     confidence = edge_confidence(values, low_percentile, high_percentile)
 
@@ -376,6 +377,7 @@ def build_system(guide, clues: ClueSet) -> AffinitySystem:
     The clue set may hold raw spectra or basis coefficients; channels are
     solved against the same matrix either way.
     """
+    _check_type(clues, ClueSet, "clues")
     values = _guide_values(guide, (clues.height, clues.width), "clues")
     height, width = values.shape
     if clues.count < 1:
@@ -632,13 +634,15 @@ def solve(
     Raises
     ------
     ValidationError
-        On an unknown method, a ``tol`` that is not positive and finite,
-        or a ``max_iter`` below 1, before any work is done.
+        On a ``system`` that is no AffinitySystem, an unknown method, a
+        ``tol`` that is not positive and finite, or a ``max_iter`` below 1,
+        before any work is done.
     SolverError
         At the first channel that does not reach ``tol``, or whose
         BiCGStab run does not report convergence; carries the achieved
         residual.
     """
+    _check_type(system, AffinitySystem, "system")
     _check_solver(method, tol, max_iter)
     matrix = system.ordered
     method, factor_bytes, reason = _choose_method(method, matrix.shape[0])
@@ -837,6 +841,8 @@ def colorize(
     ColorizeResult
         The clamped nonnegative cube plus solver diagnostics.
     """
+    _check_type(clues, ClueSet, "clues")
+    _check_type(basis, (SpectralBasis, type(None)), "basis")
     values = _guide_values(guide)
     if dim is not None and basis is None:
         raise ValidationError("dim was given without a basis")

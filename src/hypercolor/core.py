@@ -85,6 +85,27 @@ def _check_same_wavelengths(given: NDArrayF, expected: NDArrayF, what: str) -> N
         )
 
 
+def _check_type(value, kinds, name: str) -> None:
+    """Raise ValidationError unless ``value`` is an instance of ``kinds``,
+    a class or a tuple of classes; ``type(None)`` among them admits None."""
+    if not isinstance(value, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        expected = " or ".join(
+            "None" if kind is type(None) else kind.__name__ for kind in kinds
+        )
+        raise ValidationError(f"{name} must be {expected}, got {type(value).__name__}")
+
+
+def _as_tuple(values, name: str) -> tuple:
+    """A list argument's items; a bare string or a single value raises."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            return tuple(values)
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be a list of values, got {values!r}")
+
+
 # numpy's numbers count; bools do not
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -273,16 +294,13 @@ def _resolve_response(
     length is not the band count, and for one whose wavelengths are not
     the data's.
     """
+    _check_type(response, (SpectralResponse, type(None)), "response")
     if response is None:
         if wavelengths is None:
             raise ValidationError(
                 "data without wavelengths needs an explicit SpectralResponse"
             )
         return SpectralResponse.visible_flat(wavelengths)
-    if not isinstance(response, SpectralResponse):
-        raise ValidationError(
-            f"response must be a SpectralResponse or None, got {type(response).__name__}"
-        )
     if wavelengths is not None:
         bands = wavelengths.size
     if response.weights.size != bands:
@@ -320,12 +338,14 @@ def make_guide(cube: HyperCube, response: SpectralResponse | None = None) -> Gui
     -------
     GuideImage
     """
+    _check_type(cube, HyperCube, "cube")
     resp = _resolve_response(cube.wavelengths, response)
     return GuideImage(cube.data @ resp.weights)
 
 
 def cube_to_clues(cube: HyperCube, mask) -> ClueSet:
     """Extract the spectra of a cube at the True positions of ``mask``."""
+    _check_type(cube, HyperCube, "cube")
     mask = _as_mask(mask, (cube.height, cube.width), "cube")
     spectra = cube.data[mask]
     return ClueSet(cube.height, cube.width, cube.wavelengths, mask, spectra)

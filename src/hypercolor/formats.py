@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClueSet, GuideImage, HyperCube
+from .core import ClueSet, GuideImage, HyperCube, _check_type
 from .errors import FormatError, TruncatedFileError, ValidationError
 from .subspace import DimensionModel, SpectralBasis
 
@@ -83,6 +83,7 @@ def _build(container, path, *args):
 
 def write_cube(cube: HyperCube, path) -> None:
     """Write a cube: magic, u32 height/width/bands, f64 wavelengths, f32 data."""
+    _check_type(cube, HyperCube, "cube")
     with open(path, "wb") as fh:
         fh.write(MAGIC_CUBE)
         fh.write(struct.pack("<III", cube.height, cube.width, cube.bands))
@@ -141,6 +142,7 @@ def write_clues(clues: ClueSet, path) -> None:
     Records are emitted in row-major position order, matching the in-memory
     alignment of ``clues.spectra``.
     """
+    _check_type(clues, ClueSet, "clues")
     coords = clues.coordinates()
     records = np.empty(clues.count, dtype=_clue_record_dtype(clues.bands))
     records["row"] = coords[:, 0]
@@ -192,6 +194,7 @@ def read_clues(path) -> ClueSet:
 
 def write_basis(basis: SpectralBasis, path) -> None:
     """Write a basis: header, f64 wavelengths, singular values, column-major vectors."""
+    _check_type(basis, SpectralBasis, "basis")
     bands, rank = basis.vectors.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC_BASIS)
@@ -238,6 +241,7 @@ def write_guide(guide: GuideImage, path) -> None:
     Negative values (read-noise excursions) clamp to zero on disk; the
     sidecar records ``scale`` such that linear = integer * scale.
     """
+    _check_type(guide, GuideImage, "guide")
     values = np.maximum(guide.values, 0.0)
     peak = float(values.max())
     scale = max(peak / 65535.0, _SMALLEST_SCALE) if peak > 0 else 1.0
@@ -367,6 +371,7 @@ _MODEL_FIELDS = tuple(spec.name for spec in fields(DimensionModel))
 
 def write_model(model: DimensionModel, path) -> None:
     """Write a dimension model as JSON with named coefficients."""
+    _check_type(model, DimensionModel, "model")
     _write_json_object({name: getattr(model, name) for name in _MODEL_FIELDS}, path)
 
 
@@ -376,16 +381,7 @@ def read_model(path) -> DimensionModel:
     missing = [name for name in _MODEL_FIELDS if name not in payload]
     if missing:
         raise ValidationError(f"{path}: model file missing fields {missing}")
-    kwargs = {name: payload[name] for name in _MODEL_FIELDS}
-    for name, value in kwargs.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not np.isfinite(value):
-            raise FormatError(
-                f"{path}: model field {name} must be a finite number, got {value!r}"
-            )
-    kwargs["clamp_min"] = int(kwargs["clamp_min"])
-    kwargs["clamp_max"] = int(kwargs["clamp_max"])
-    return _build(DimensionModel, path, *kwargs.values())
+    return _build(DimensionModel, path, *(payload[name] for name in _MODEL_FIELDS))
 
 
 # ---------------------------------------------------------------------------

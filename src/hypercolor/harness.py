@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .colorizer import _check_alpha, _check_solver, _finish, _solve_coefficients, colorize
-from .core import HyperCube, _is_finite_real, _is_int
+from .core import HyperCube, _as_tuple, _check_type, _is_finite_real, _is_int
 from .errors import ConfigError, FormatError, ValidationError
 from .formats import _csv_text, _read_json_object, _write_json_object
 from .metrics import (
@@ -357,16 +357,6 @@ def _basis_shape(cube, config) -> tuple[int, int]:
     return config.rank or cube.bands, cube.bands
 
 
-def _as_tuple(values, name: str) -> tuple:
-    """A list argument's items; a bare string or a single value raises."""
-    try:
-        if not isinstance(values, (str, bytes)):
-            return tuple(values)
-    except TypeError:
-        pass
-    raise ValidationError(f"{name} must be a list of values, got {values!r}")
-
-
 def _check_dims(dims, rank: int, bands: int) -> None:
     """Reject dimensions that a basis of ``rank`` of ``bands`` bands cannot give.
 
@@ -382,15 +372,12 @@ def _check_dims(dims, rank: int, bands: int) -> None:
             raise ConfigError(f"dim {dim} must be between 1 and the basis rank {rank}")
 
 
-def _check_run_inputs(cube, config) -> None:
-    """Raise ValidationError unless ``cube`` is a HyperCube and ``config``
-    an ExperimentConfig."""
-    if not isinstance(cube, HyperCube):
-        raise ValidationError(f"cube must be a HyperCube, got {type(cube).__name__}")
-    if not isinstance(config, ExperimentConfig):
-        raise ValidationError(
-            f"config must be an ExperimentConfig, got {type(config).__name__}"
-        )
+def _check_run_inputs(cube, config, model=None) -> None:
+    """Raise ValidationError unless ``cube`` is a HyperCube, ``config`` an
+    ExperimentConfig and ``model`` a DimensionModel or None."""
+    _check_type(cube, HyperCube, "cube")
+    _check_type(config, ExperimentConfig, "config")
+    _check_type(model, (DimensionModel, type(None)), "model")
 
 
 def _colorize_clues(guide, clues, basis, config, model=None):
@@ -438,7 +425,7 @@ def run_pipeline(
         Acquisition bookkeeping, solver diagnostics, the reconstructed
         cube and mask, and a MetricReport against the ground truth.
     """
-    _check_run_inputs(cube, config)
+    _check_run_inputs(cube, config, model)
     _check_dims((config.dim,), *_basis_shape(cube, config))
     return _reconstruct(cube, config, model=model, label=label)()
 
@@ -754,7 +741,7 @@ def _sweep(stage, config: ExperimentConfig, field: str, values) -> list[list]:
 def _pipeline_sweep(cube, config, field, values, empty_error, *, label, model=None,
                     histogram=False) -> SweepResult:
     """One pipeline run with ``field`` set to each of ``values``, in order."""
-    _check_run_inputs(cube, config)
+    _check_run_inputs(cube, config, model)
     if not values:
         raise ValidationError(empty_error)
     _check_dims((config.dim,), *_basis_shape(cube, config))

@@ -19,7 +19,7 @@ from scipy.special import gammaln
 
 from .core import (
     ClueSet, GuideImage, HyperCube, SpectralResponse, _as_mask, _check_seed,
-    _is_finite_real, _resolve_response,
+    _check_type, _is_finite_real, _resolve_response,
 )
 from .errors import ValidationError
 
@@ -215,6 +215,8 @@ def simulate_guide(
     receives an exact Poisson draw at rho * t * ideal counts plus Gaussian
     read noise, and is divided back to radiance units.
     """
+    _check_type(cube, HyperCube, "cube")
+    _check_type(params, NoiseParams, "params")
     _require_radiance(cube.data, "scene cube")
     resp = _resolve_response(cube.wavelengths, response)
     ideal = cube.data @ resp.weights
@@ -230,6 +232,8 @@ def simulate_clues(cube: HyperCube, mask, params: NoiseParams) -> ClueSet:
     stream keyed by the pixel's absolute position, so the same pixel gets
     the same noise no matter which mask carried it.
     """
+    _check_type(cube, HyperCube, "cube")
+    _check_type(params, NoiseParams, "params")
     _require_radiance(cube.data, "scene cube")
     mask = _as_mask(mask, (cube.height, cube.width), "cube")
     if not mask.any():

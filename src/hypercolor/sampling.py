@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._filters import sobel_gradients, window_sum
-from .core import _check_seed, _guide_values, _is_finite_real, _is_int
+from .core import _check_seed, _check_type, _guide_values, _is_finite_real, _is_int
 from .errors import ValidationError
 
 __all__ = ["PATTERNS", "SamplingPlan", "build_mask"]
@@ -248,8 +248,7 @@ def build_mask(plan: SamplingPlan, shape: tuple[int, int] | None = None, guide=N
     Guided patterns require ``guide``; the others accept either ``shape``,
     two integers of at least 1, or a guide to borrow the shape from.
     """
-    if not isinstance(plan, SamplingPlan):
-        raise ValidationError(f"build_mask needs a SamplingPlan, got {plan!r}")
+    _check_type(plan, SamplingPlan, "plan")
     values = None
     if guide is not None:
         values = _guide_values(guide)

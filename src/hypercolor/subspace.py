@@ -10,14 +10,15 @@ regression to a reconstruction dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    ClueSet, HyperCube, NDArrayF, _as_float_array, _check_same_wavelengths,
-    _check_wavelengths, _is_int,
+    ClueSet, HyperCube, NDArrayF, _as_float_array, _as_tuple, _check_same_wavelengths,
+    _check_type, _check_wavelengths, _is_finite_real, _is_int,
 )
 from .errors import ValidationError
 
@@ -115,11 +116,11 @@ def learn_basis(
     eigendecomposed, so memory stays independent of the pixel count. The
     singular values are those of the stacked pixels x bands matrix.
     """
-    if isinstance(cubes, HyperCube):
-        cubes = [cubes]
-    cubes = list(cubes)
+    cubes = (cubes,) if isinstance(cubes, HyperCube) else _as_tuple(cubes, "cubes")
     if not cubes:
         raise ValidationError("learn_basis needs at least one cube")
+    for cube in cubes:
+        _check_type(cube, HyperCube, "training cube")
     wavelengths = cubes[0].wavelengths
     bands = cubes[0].bands
     rank = bands if rank is None else rank
@@ -163,6 +164,7 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
     coefficients) or a ClueSet over the basis's wavelengths (returns a
     ClueSet in coefficient space with a placeholder 1..dim wavelength axis).
     """
+    _check_type(basis, SpectralBasis, "basis")
     vectors = _leading_vectors(basis, dim)
     if isinstance(data, ClueSet):
         _check_same_wavelengths(basis.wavelengths, data.wavelengths, "basis")
@@ -185,6 +187,7 @@ def project(data, basis: SpectralBasis, dim: int | None = None):
 def unproject(coefficients, basis: SpectralBasis) -> NDArrayF:
     """Map a finite coefficient-axis-last array back to spectra; the inverse
     of :func:`project` on the subspace the retained directions span."""
+    _check_type(basis, SpectralBasis, "basis")
     coefficients = _as_float_array(coefficients, "coefficients")
     vectors = _leading_vectors(basis, coefficients.shape[-1])
     return coefficients @ vectors.T
@@ -210,9 +213,14 @@ class VarianceCurve:
         explained = _as_float_array(self.explained, "explained variance", 1)
         if explained.size < 1:
             raise ValidationError("explained variance is empty")
-        if not 1 <= self.elbow_index <= explained.size:
+        if not (_is_int(self.elbow_index) and 1 <= self.elbow_index <= explained.size):
             raise ValidationError(
-                f"elbow index {self.elbow_index} outside [1, {explained.size}]"
+                f"elbow index {self.elbow_index!r} is no int in [1, {explained.size}]"
+            )
+        if not _is_finite_real(self.log_min_variance):
+            raise ValidationError(
+                f"log_min_variance must be a finite real number, "
+                f"got {self.log_min_variance!r}"
             )
         object.__setattr__(self, "explained", explained)
 
@@ -252,6 +260,8 @@ def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
     per-direction sample variance. The floor of the curve is what read and shot noise leave
     behind, so its log feeds dimension prediction alongside the elbow.
     """
+    _check_type(clues, ClueSet, "clues")
+    _check_type(basis, SpectralBasis, "basis")
     _check_full_rank(basis.rank, basis.bands, "variance_curve")
     if clues.count < _MIN_CLUES_FOR_CURVE:
         raise ValidationError(
@@ -267,9 +277,18 @@ def variance_curve(clues: ClueSet, basis: SpectralBasis) -> VarianceCurve:
     return VarianceCurve(explained, elbow, float(log_explained.min()))
 
 
+_COEFFICIENTS = ("intercept", "elbow", "log_min_variance", "elbow_sq",
+                 "log_min_variance_sq", "elbow_x_log_min_variance")
+
+
 @dataclass(frozen=True)
 class DimensionModel:
-    """Quadratic map from (elbow, log noise floor) to a reconstruction dim."""
+    """Quadratic map from (elbow, log noise floor) to a reconstruction dim.
+
+    The coefficients are finite real numbers and the clamp bounds whole
+    numbers with 2 <= ``clamp_min`` <= ``clamp_max``; they are checked, not
+    converted.
+    """
 
     intercept: float
     elbow: float
@@ -281,6 +300,19 @@ class DimensionModel:
     clamp_max: int = 31
 
     def __post_init__(self):
+        for name in _COEFFICIENTS:
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ValidationError(
+                    f"model coefficient {name} must be a finite real number, "
+                    f"got {value!r}"
+                )
+        for name in ("clamp_min", "clamp_max"):
+            value = getattr(self, name)
+            if not (_is_finite_real(value) and float(value).is_integer()):
+                raise ValidationError(
+                    f"model {name} must be a whole number, got {value!r}"
+                )
         if not 2 <= self.clamp_min <= self.clamp_max:
             raise ValidationError(
                 f"clamp bounds [{self.clamp_min}, {self.clamp_max}] are invalid"
@@ -288,18 +320,25 @@ class DimensionModel:
 
     def predict(self, curve: VarianceCurve) -> int:
         """Dimension predicted from a curve's elbow and log noise floor,
-        rounded half-up and clamped to the bounds."""
+        rounded half-up and clamped to the bounds.
+
+        A prediction past the float range takes the bound on its side; one
+        that is not a number raises ValidationError.
+        """
         elbow, log_min = float(curve.elbow_index), curve.log_min_variance
-        value = (
-            self.intercept
-            + self.elbow * elbow
-            + self.log_min_variance * log_min
-            + self.elbow_sq * elbow * elbow
-            + self.log_min_variance_sq * log_min * log_min
-            + self.elbow_x_log_min_variance * elbow * log_min
-        )
-        predicted = int(np.floor(value + 0.5))
-        return int(np.clip(predicted, self.clamp_min, self.clamp_max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = (
+                self.intercept
+                + self.elbow * elbow
+                + self.log_min_variance * log_min
+                + self.elbow_sq * elbow * elbow
+                + self.log_min_variance_sq * log_min * log_min
+                + self.elbow_x_log_min_variance * elbow * log_min
+            )
+        if math.isnan(value):
+            raise ValidationError("the model's prediction for this curve is not a number")
+        # rounded and clamped as floats, so an infinite value meets a bound
+        return int(np.clip(np.floor(value + 0.5), self.clamp_min, self.clamp_max))
 
 
 def _feature_matrix(elbows: NDArrayF, log_mins: NDArrayF) -> NDArrayF:
@@ -329,7 +368,9 @@ def fit_dimension_model(curves, labels) -> DimensionModel:
     The model clamps its predictions to [2, the first curve's dimension
     count].
     """
-    curves = list(curves)
+    curves = _as_tuple(curves, "curves")
+    for curve in curves:
+        _check_type(curve, VarianceCurve, "training curve")
     labels = _as_float_array(labels, "labels", 1)
     if len(curves) != labels.size:
         raise ValidationError(
@@ -364,6 +405,7 @@ def estimate_dimension(
     A model trained on cubes with more bands can predict past this basis,
     so its prediction is capped at the curve's dimension count.
     """
+    _check_type(model, (DimensionModel, type(None)), "model")
     curve = variance_curve(clues, basis)
     if model is None:
         return curve.elbow_index, curve

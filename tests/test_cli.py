@@ -95,16 +95,21 @@ def deep_clue_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def wide_model_file(tmp_path):
-    """A model trained on 31-band cubes that predicts 20 whatever the curve."""
-    fields = ("elbow", "log_min_variance", "elbow_sq", "log_min_variance_sq",
-              "elbow_x_log_min_variance")
+def model_file(tmp_path, **coefficients):
+    """A model file clamped to [2, 31] whose coefficients not given are 0."""
+    fields = ("intercept", "elbow", "log_min_variance", "elbow_sq",
+              "log_min_variance_sq", "elbow_x_log_min_variance")
     payload = {name: 0.0 for name in fields}
-    payload.update(intercept=20.0, clamp_min=2, clamp_max=31)
+    payload.update(clamp_min=2, clamp_max=31, **coefficients)
     path = tmp_path / "wide-model.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+@pytest.fixture
+def wide_model_file(tmp_path):
+    """A model trained on 31-band cubes that predicts 20 whatever the curve."""
+    return model_file(tmp_path, intercept=20.0)
 
 
 class TestConvert:
@@ -271,7 +276,7 @@ class TestConfigFlags:
     def test_flags_and_parsers_cover_config_fields(self):
         names = {spec.name for spec in dataclasses.fields(ExperimentConfig)}
         assert set(_FIELD_PARSERS) == names
-        assert {name for name, _text in _CONFIG_FLAGS.values()} <= names
+        assert {name for name, *_rest in _CONFIG_FLAGS.values()} <= names
 
     @pytest.mark.parametrize(
         "argv",
@@ -452,23 +457,17 @@ class TestBasis:
         assert err.startswith("error: basis wavelengths differ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_estimate_dim_nested_and_top_level_agree(
+    def test_estimate_dim_finds_the_scene_rank(
         self, tmp_path, capsys, deep_cube_file, deep_clue_file
     ):
         basis_path = tmp_path / "basis.hsb"
         run_json(
             capsys, "basis", "learn", str(deep_cube_file), "--out", str(basis_path)
         )
-        nested = run_json(
-            capsys,
-            "basis", "estimate-dim", "--clues", str(deep_clue_file),
-            "--basis", str(basis_path),
-        )
         top = run_json(
             capsys,
             "estimate-dim", "--clues", str(deep_clue_file), "--basis", str(basis_path),
         )
-        assert nested == top
         assert set(top) == {"dimension", "elbow", "log_min_variance"}
         # the scene is rank 3, so the elbow should land there
         assert top["dimension"] == 3
@@ -487,15 +486,13 @@ class TestBasis:
         )
         assert payload["dimension"] == 6
 
-    @pytest.mark.parametrize("command", [["estimate-dim"], ["basis", "estimate-dim"]])
-    def test_truncated_basis_is_usage_error(
-        self, tmp_path, capsys, cube_file, clue_file, command
-    ):
+    def test_truncated_basis_is_usage_error(self, tmp_path, capsys, cube_file, clue_file):
         # the same rule as colorize --dim auto, with the same exit code
         basis_path = tmp_path / "basis.hsb"
         run_json(capsys, "basis", "learn", str(cube_file), "--rank", "2",
                  "--out", str(basis_path))
-        assert main([*command, "--clues", str(clue_file), "--basis", str(basis_path)]) == 2
+        assert main(["estimate-dim", "--clues", str(clue_file),
+                     "--basis", str(basis_path)]) == 2
         err = capsys.readouterr().err
         assert err == 'error: dim "auto" needs a full-rank basis, got rank 2 for 4 bands\n'
 
@@ -778,16 +775,25 @@ class TestPipeline:
                        "--dim", "auto", "--model", str(wide_model_file))
         assert row["dim"] == 6
 
+    def test_auto_dim_model_prediction_past_the_float_range_is_capped(
+        self, tmp_path, capsys, deep_cube_file
+    ):
+        path = model_file(tmp_path, intercept=1e308, elbow=1e308)
+        row = run_json(capsys, "pipeline", str(deep_cube_file), "--rate", "0.25",
+                       "--dim", "auto", "--model", str(path))
+        assert row["dim"] == 6
+
     def test_reports_byte_identical_across_worker_counts(
-        self, tmp_path, capsys, cube_file
+        self, tmp_path, capsys, cube_file, monkeypatch
     ):
         reports = []
         for name, workers in (("a.json", "1"), ("b.json", "4")):
             path = tmp_path / name
+            monkeypatch.setenv("HYPERCOLOR_WORKERS", workers)
             run_json(
                 capsys,
                 "pipeline", str(cube_file), "--rate", "0.25",
-                "--workers", workers, "--out-report", str(path),
+                "--out-report", str(path),
             )
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
@@ -876,6 +882,11 @@ class TestSweepCommands:
             "uniform-whisk",
         ]
 
+    def test_list_items_may_carry_spaces(self, capsys, cube_file):
+        payload = run_json(capsys, "compare-sampling", str(cube_file),
+                           "--patterns", "random, uniform-whisk ", "--rate", "0.25")
+        assert [row["pattern"] for row in payload["rows"]] == ["random", "uniform-whisk"]
+
     def test_train_dim_model(self, tmp_path, capsys, cube_file):
         second = tmp_path / "scene2.hsc"
         formats.write_cube(random_cube(16, 16, 4, rank=2, seed=22), second)
@@ -934,6 +945,75 @@ class TestSweepCommands:
         assert_error(capsys, 2, "train-dim-model", str(cube_file),
                      "--budgets", "0.5,1.0", "--dims", "2,99",
                      "--out", str(tmp_path / "model.json"))
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestHarnessFlags:
+    # each harness command on the 16x16x4 scene, with every required list
+    LINES = {
+        "pipeline": ["pipeline", "{cube}"],
+        "sweep-dim": ["sweep-dim", "{cube}", "--dims", "2,3"],
+        "sweep-budget": ["sweep-budget", "{cube}", "--ratios", "0.25"],
+        "compare-sampling": ["compare-sampling", "{cube}",
+                             "--patterns", "random,uniform-push"],
+        "train-dim-model": ["train-dim-model", "{cube}", "--budgets", "0.5,1,2,4,8,16",
+                            "--dims", "2,3", "--out", "{out}"],
+    }
+    # a value off each field's default; a switch takes none
+    VALUES = {"--seed": ["5"], "--pattern": ["random"], "--rate": ["0.5"],
+              "--budget": ["0.25"], "--dim": ["2"], "--include-timing": []}
+
+    @pytest.mark.parametrize("command", sorted(LINES))
+    def test_every_run_setting_flag_changes_the_output(
+        self, tmp_path, capsys, cube_file, command
+    ):
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        fields = {name for name, *_rest in _CONFIG_FLAGS.values()}
+        flags = [action.option_strings[0]
+                 for action in commands.choices[command]._actions
+                 if action.dest in fields]
+        argv = [arg.format(cube=cube_file, out=tmp_path / "model.json")
+                for arg in self.LINES[command]]
+        _code, plain = run_cli(capsys, *argv)
+        # the worker count shapes execution, never results
+        for flag in sorted(set(flags) - {"--workers"}):
+            code, out = run_cli(capsys, *argv, flag, *self.VALUES[flag])
+            assert code == 0 and out != plain, flag
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "{cube}", "--workers", "2"],
+        ["sweep-dim", "{cube}", "--dims", "2", "--dim", "2"],
+        ["sweep-budget", "{cube}", "--ratios", "0.25", "--rate", "0.5"],
+        ["compare-sampling", "{cube}", "--pattern", "random"],
+        ["train-dim-model", "{cube}", "--budgets", "1", "--out", "{out}", "--dim", "2"],
+        ["train-dim-model", "{cube}", "--budgets", "1", "--out", "{out}", "--budget", "1"],
+        ["train-dim-model", "{cube}", "--budgets", "1", "--out", "{out}",
+         "--include-timing"],
+        ["basis", "estimate-dim", "--clues", "{cube}", "--basis", "{cube}"],
+    ])
+    def test_flags_that_changed_nothing_are_usage_errors(
+        self, tmp_path, capsys, cube_file, argv
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(cube=cube_file, out=tmp_path / "model.json")
+                  for arg in argv])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare-sampling", "{cube}", "--patterns="], "--patterns"),
+        (["compare-sampling", "{cube}", "--patterns=,"], "--patterns"),
+        (["sweep-dim", "{cube}", "--dims", "2", "--budgets="], "--budgets"),
+        (["train-dim-model", "{cube}", "--budgets", "1", "--dims=", "--out", "{out}"],
+         "--dims"),
+    ])
+    def test_an_empty_optional_list_is_a_usage_error(
+        self, tmp_path, capsys, cube_file, argv, flag
+    ):
+        code = main([arg.format(cube=cube_file, out=tmp_path / "model.json")
+                     for arg in argv])
+        assert (code, capsys.readouterr().err) == (2, f"error: {flag} is empty\n")
         assert not (tmp_path / "model.json").exists()
 
 

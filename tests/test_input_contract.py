@@ -1,9 +1,10 @@
 """The input contract, checked by generation at the library and CLI layers.
 
 A bad run setting, sweep list, solver control, array, mask, guide grid,
-metric pair, basis or response wavelength axis, or harness cube or config
-ends in a ``ConfigError`` or ``ValidationError`` before any costly stage runs, and a CLI command ends with exit 0, 2 or 3,
-never a traceback.
+metric pair, basis or response wavelength axis, or an argument of the wrong
+kind where a container is taken ends in a ``ConfigError`` or
+``ValidationError`` before any costly stage runs, and a CLI command ends with
+exit 0, 2 or 3, never a traceback.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from hypercolor import (  # noqa: E402
     compare_sampling,
     cube_to_clues,
     edge_filter,
+    estimate_dimension,
     evaluate,
     fit_dimension_model,
     formats,
@@ -196,7 +198,10 @@ HARNESS_RUNS = {
     "train_dimension_model": lambda cube, config: train_dimension_model(
         [cube], config, (0.5,)),
 }
-not_cubes = junk | st.none() | st.sampled_from([np.ones((4, 4, BANDS)), ExperimentConfig()])
+# a value of another kind where a container is taken; None stays out, as
+# the optional containers take it
+wrong_kinds = junk | st.sampled_from([np.ones((4, 4, BANDS)), ExperimentConfig()])
+not_containers = wrong_kinds | st.none()
 not_configs = junk | st.none() | st.sampled_from([{"seed": 1}, "uniform-whisk"])
 
 
@@ -285,10 +290,15 @@ def test_a_bad_setting_is_a_typed_error_before_any_work(scene, data):
         call(value)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(scene, data):
+def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(
+    scene, tmp_path_factory, data
+):
     cube, guide, clues, basis, _ = scene
+    # a writer that opened its file before checking its container would
+    # fail there, not with ValidationError
+    writes_to = tmp_path_factory.getbasetemp()
     flat = SpectralResponse.visible_flat(cube.wavelengths)
     parts = {"wavelengths": basis.wavelengths, "vectors": basis.vectors,
              "singular_values": basis.singular_values}
@@ -325,12 +335,52 @@ def test_a_bad_array_mask_guide_or_basis_is_a_typed_error_before_any_work(scene,
                               ("simulate_guide", lambda r: simulate_guide(
                                   cube, NoiseParams(t=1.0), r)))},
         "evaluate mismatched pair": (off_grid(cube.shape), lambda v: evaluate(cube, v)),
-        **{f"{name} cube": (not_cubes, lambda v, run=run: run(v, ExperimentConfig()))
+        **{f"{name} cube": (not_containers, lambda v, run=run: run(v, ExperimentConfig()))
            for name, run in HARNESS_RUNS.items()},
         **{f"{name} config": (not_configs, lambda v, run=run: run(cube, v))
            for name, run in HARNESS_RUNS.items()},
-        "train_dimension_model later cube": (not_cubes, lambda v: train_dimension_model(
+        "train_dimension_model later cube": (not_containers, lambda v: train_dimension_model(
             with_bad([cube], v, data), ExperimentConfig(), (0.5,))),
+        **{f"{name} model": (wrong_kinds, lambda v, run=run: run(
+            cube, ExperimentConfig(), model=v))
+           for name, run in (("run_pipeline", run_pipeline),
+                             ("time_budget_sweep", lambda c, f, model: time_budget_sweep(
+                                 c, f, (0.1,), model=model)))},
+        "colorize clues": (not_containers, lambda v: colorize(guide, v)),
+        "colorize basis": (wrong_kinds, lambda v: colorize(guide, clues, v)),
+        "build_system clues": (not_containers, lambda v: build_system(guide, v)),
+        "solve system": (not_containers, lambda v: solve(v)),
+        "edge_filter clues": (not_containers, lambda v: edge_filter(v, guide)),
+        "learn_basis cubes": (not_containers, lambda v: learn_basis(v)),
+        "learn_basis later cube": (not_containers, lambda v: learn_basis(
+            with_bad([cube], v, data))),
+        "make_guide cube": (not_containers, lambda v: make_guide(v)),
+        "make_guide response": (wrong_kinds, lambda v: make_guide(cube, v)),
+        "simulate_guide cube": (not_containers, lambda v: simulate_guide(
+            v, NoiseParams(t=1.0))),
+        "simulate_guide params": (not_containers, lambda v: simulate_guide(cube, v)),
+        "simulate_clues cube": (not_containers, lambda v: simulate_clues(
+            v, clues.mask, NoiseParams(t=1.0))),
+        "simulate_clues params": (not_containers, lambda v: simulate_clues(
+            cube, clues.mask, v)),
+        "cube_to_clues cube": (not_containers, lambda v: cube_to_clues(v, clues.mask)),
+        "build_mask plan": (not_containers, lambda v: build_mask(v, shape=(4, 4))),
+        "project basis": (not_containers, lambda v: project(clues, v)),
+        "unproject basis": (not_containers, lambda v: unproject(np.ones((3, BANDS)), v)),
+        "variance_curve clues": (not_containers, lambda v: variance_curve(v, basis)),
+        "variance_curve basis": (not_containers, lambda v: variance_curve(clues, v)),
+        "variance curve elbow index": (not_containers, lambda v: VarianceCurve(
+            np.ones(BANDS), v, 0.0)),
+        "variance curve log floor": (not_containers | non_finite, lambda v: VarianceCurve(
+            np.ones(BANDS), 1, v)),
+        "estimate_dimension model": (wrong_kinds, lambda v: estimate_dimension(
+            clues, basis, v)),
+        "fit_dimension_model curves": (not_containers, lambda v: fit_dimension_model(
+            with_bad(curves[:5], v, data), np.full(6, 3.0))),
+        **{f"{write.__name__} container": (not_containers, lambda v, write=write: write(
+            v, writes_to / "no-folder" / "file"))
+           for write in (formats.write_cube, formats.write_clues, formats.write_basis,
+                         formats.write_guide, formats.write_model)},
     }
     entry = data.draw(st.sampled_from(sorted(entries)), label="entry")
     values, call = entries[entry]
@@ -361,13 +411,12 @@ FLAG_VALUES = {
     "--workers": ["0", "-1", "1", "2", "4", "2.5", "x", "", "nan"],
     "--pattern": list(PATTERNS) + ["sobol", ""],
     "--solver": ["auto", "direct", "iterative", "cg", ""],
-    "--dims": ["2", "2,3", "2,2", "0", "x", "2.5", "9", ",", "1,,3", "4"],
-    "--budgets": ["0.5", "0.5,1", "0", "nan", "x", "1e308", "-1", ","],
+    "--dims": ["2", "2,3", "2,2", "0", "x", "2.5", "9", ",", "1,,3", "4", ""],
+    "--budgets": ["0.5", "0.5,1", "0", "nan", "x", "1e308", "-1", ",", ""],
     "--ratios": ["0.1", "0.1,0.5", "0", "1.5", "nan", "x", "5e-324", "1", ","],
-    "--patterns": ["random", "random,uniform-push", "sobol", ",", "guided-whisk"],
+    "--patterns": ["random", "random,uniform-push", "sobol", ",", "guided-whisk", ""],
     "--shape": ["8x8", "1x1", "0x5", "x", "3x", "-3x5", "16x16"],
 }
-HARNESS = ("--seed", "--pattern", "--rate", "--budget", "--dim", "--workers")
 COMMANDS = {
     "simulate": (["simulate", "{cube}", "--out-clues", "{out}"],
                  ("--pattern", "--rate", "--alpha", "--budget", "--guide-budget",
@@ -378,12 +427,20 @@ COMMANDS = {
     "colorize": (["colorize", "--guide", "{guide}", "--clues", "{clues}",
                   "--basis", "{basis}", "--out", "{out}"],
                  ("--dim", "--solver", "--tol", "--max-iter")),
-    "pipeline": (["pipeline", "{cube}"], HARNESS),
-    "sweep-dim": (["sweep-dim", "{cube}"], HARNESS + ("--dims", "--budgets")),
-    "sweep-budget": (["sweep-budget", "{cube}"], HARNESS + ("--ratios",)),
-    "compare-sampling": (["compare-sampling", "{cube}"], HARNESS + ("--patterns",)),
+    "pipeline": (["pipeline", "{cube}"],
+                 ("--seed", "--pattern", "--rate", "--budget", "--dim")),
+    "sweep-dim": (["sweep-dim", "{cube}"],
+                  ("--seed", "--pattern", "--rate", "--budget", "--workers", "--dims",
+                   "--budgets")),
+    "sweep-budget": (["sweep-budget", "{cube}"],
+                     ("--seed", "--pattern", "--budget", "--dim", "--workers",
+                      "--ratios")),
+    "compare-sampling": (["compare-sampling", "{cube}"],
+                         ("--seed", "--rate", "--budget", "--dim", "--workers",
+                          "--patterns")),
     "train-dim-model": (["train-dim-model", "{cube}", "--out", "{out}"],
-                        HARNESS + ("--budgets", "--dims")),
+                        ("--seed", "--pattern", "--rate", "--workers", "--budgets",
+                         "--dims")),
 }
 REQUIRED = {"sweep-dim": ("--dims",), "sweep-budget": ("--ratios",),
             "train-dim-model": ("--budgets",)}

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -329,6 +332,32 @@ class TestDimensionModel:
         assert (fitted.clamp_min, fitted.clamp_max) == (2, 9)
         assert fitted.predict(curve(3, -4.0, dimensions=9)) == 9
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"intercept": math.nan}, "intercept must be a finite real number"),
+        ({"elbow_sq": "x"}, "elbow_sq must be a finite real number"),
+        ({"log_min_variance": True}, "log_min_variance must be a finite real number"),
+        ({"clamp_max": "x"}, "clamp_max must be a whole number"),
+        ({"clamp_min": 2.7}, "clamp_min must be a whole number"),
+        ({"clamp_max": math.inf}, "clamp_max must be a whole number"),
+    ])
+    def test_fields_are_checked(self, fields, message):
+        zero = dict(intercept=0.0, elbow=0.0, log_min_variance=0.0, elbow_sq=0.0,
+                    log_min_variance_sq=0.0, elbow_x_log_min_variance=0.0)
+        with pytest.raises(ValidationError, match=message):
+            DimensionModel(**{**zero, **fields})
+
+    def test_a_prediction_past_the_float_range_takes_its_bound(self):
+        base = dict(log_min_variance=0.0, elbow_sq=0.0, log_min_variance_sq=0.0,
+                    elbow_x_log_min_variance=0.0, clamp_max=9)
+        assert DimensionModel(1e308, 1e308, **base).predict(curve(3, -4.0)) == 9
+        assert DimensionModel(-1e308, -1e308, **base).predict(curve(3, -4.0)) == 2
+
+    def test_a_prediction_that_is_no_number_raises(self):
+        # inf from the elbow term meets -inf from the noise floor term
+        model = DimensionModel(0.0, 1e308, 1e308, 0.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="not a number"):
+            model.predict(curve(3, -4.0))
+
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValidationError, match="at least 6"):
             fit_dimension_model(self.curves(n=5), [3] * 5)
@@ -355,6 +384,17 @@ class TestDimensionModel:
         again = tmp_path / "model2.json"
         write_model(back, again)
         assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("field, value", [("clamp_min", 2.7), ("intercept", "abc"),
+                                              ("clamp_max", None)])
+    def test_a_bad_field_is_an_error_that_names_the_file(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        write_model(DimensionModel(1.5, 0.8, -0.4, 0.05, -0.02, 0.03), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(ValidationError, match=f"{field} must be") as excinfo:
+            read_model(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "model.json"
